@@ -18,7 +18,7 @@ cargo test --release --workspace --offline -q -- --test-threads=8
 echo "== clippy (-D warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "== bench smoke (repro_smallfile + repro_aging_regroup + repro_concurrent + repro_namei + repro_volume, reduced scale) =="
+echo "== bench smoke (repro_smallfile + repro_aging_regroup + repro_concurrent + repro_namei + repro_volume + repro_diskreqs, reduced scale) =="
 BENCH_TMP=$(mktemp -d)
 BENCH_OUT_DIR="$BENCH_TMP/out" cargo run --release --offline -p cffs-bench \
     --bin repro_smallfile -- --files 60 --dirs 3 --mode sync --seed 1997 \
@@ -41,6 +41,16 @@ BENCH_OUT_DIR="$BENCH_TMP/out" cargo run --release --offline -p cffs-bench \
 BENCH_OUT_DIR="$BENCH_TMP/out" cargo run --release --offline -p cffs-bench \
     --bin repro_volume -- --seed 1997 --sessions 480 --dirs 64 --files 16 \
     --ops 6 --threads 4 --feed "$BENCH_TMP/feed_volume.jsonl" > /dev/null
+# E8 (disk-request accounting, read from the phase counter deltas): every
+# claim line must be reported; its BENCH_DISKREQS.json joins the schema
+# check below.
+BENCH_OUT_DIR="$BENCH_TMP/out" cargo run --release --offline -p cffs-bench \
+    --bin repro_diskreqs -- --files 1000 > "$BENCH_TMP/diskreqs.txt"
+for claim in 'read-phase disk requests:' 'sync writes per create:' \
+    'delete throughput:' 'blocks dirtied during delete:'; do
+    grep -q -- "^- $claim" "$BENCH_TMP/diskreqs.txt" \
+        || { echo "repro_diskreqs report lacks claim line: $claim"; exit 1; }
+done
 cargo run --release --offline -p cffs-bench --bin bench_schema_check -- \
     "$BENCH_TMP"/out/BENCH_*.json
 

@@ -22,7 +22,7 @@ use cffs_disksim::driver::Scheduler;
 use cffs_disksim::models;
 use cffs_fslib::MetadataMode;
 use cffs_obs::json::{Json, ToJson};
-use cffs_obs::{obj, StatsSnapshot};
+use cffs_obs::{obj, Ctr, StatsSnapshot};
 use cffs_workloads::smallfile::{self, Assignment, SmallFileParams};
 
 fn params(order: Assignment) -> SmallFileParams {
@@ -122,7 +122,6 @@ pub fn report() -> (String, Json) {
         let f = fs.create(fs.root(), "big").expect("create");
         fs.write(f, 0, &vec![5u8; 8 << 20]).expect("write");
         fs.drop_caches().expect("drop");
-        fs.reset_io_stats();
         let before = fs.obs().snapshot("cffs", fs.now().as_nanos());
         let t0 = fs.now();
         let mut buf = vec![0u8; 8192];
@@ -132,13 +131,13 @@ pub fn report() -> (String, Json) {
         }
         let secs = (fs.now() - t0).as_secs_f64();
         let snap = fs.obs().snapshot("cffs", fs.now().as_nanos()).delta(&before);
-        points.push(sweep_point("prefetch_blocks", pf, 8.0 / secs, Some(snap)));
         out.push_str(&format!(
             "  {:>3} blocks ahead   {:>6.2} MB/s  ({} disk reads)\n",
             pf,
             8.0 / secs,
-            fs.io_stats().disk.reads
+            snap.get(Ctr::DiskReads)
         ));
+        points.push(sweep_point("prefetch_blocks", pf, 8.0 / secs, Some(snap)));
     }
 
     out.push_str(

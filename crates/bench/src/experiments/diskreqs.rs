@@ -15,6 +15,7 @@ use crate::experiments::smallfile::{rows_payload, run_all};
 use crate::report::header;
 use cffs_fslib::MetadataMode;
 use cffs_obs::json::Json;
+use cffs_obs::Ctr;
 use cffs_workloads::smallfile::SmallFileParams;
 use cffs_workloads::PhaseResult;
 
@@ -46,10 +47,10 @@ pub fn report(params: SmallFileParams) -> (String, Json) {
             "{:<18} {:>10} {:>12} {:>12} {:>12} {:>14}\n",
             r.fs,
             r.phase,
-            r.io.disk.reads,
-            r.io.disk.writes,
-            r.io.cache.sync_writes,
-            r.io.cache.group_reads,
+            r.counter(Ctr::DiskReads),
+            r.counter(Ctr::DiskWrites),
+            r.counter(Ctr::CacheSyncFlushes),
+            r.counter(Ctr::CacheGroupReads),
         ));
     }
 
@@ -59,6 +60,11 @@ pub fn report(params: SmallFileParams) -> (String, Json) {
     let emb_create = find(&rows, "embedded inodes", "create");
     let conv_del = find(&rows, "conventional", "delete");
     let emb_del = find(&rows, "embedded inodes", "delete");
+    let sync_per_create = |r: &PhaseResult| {
+        r.counter(Ctr::CacheSyncFlushes) as f64 / params.nfiles as f64
+    };
+    let dirtied =
+        |r: &PhaseResult| r.counter(Ctr::CacheWritebacks) + r.counter(Ctr::CacheSyncFlushes);
 
     out.push_str(&format!(
         "\nclaims vs counters:\n\
@@ -69,15 +75,14 @@ pub fn report(params: SmallFileParams) -> (String, Json) {
         conv_read.disk_requests(),
         cffs_read.disk_requests(),
         conv_read.disk_requests() as f64 / cffs_read.disk_requests() as f64,
-        conv_create.io.cache.sync_writes as f64 / params.nfiles as f64,
-        emb_create.io.cache.sync_writes as f64 / params.nfiles as f64,
+        sync_per_create(conv_create),
+        sync_per_create(emb_create),
         conv_del.items_per_sec(),
         emb_del.items_per_sec(),
         (emb_del.items_per_sec() / conv_del.items_per_sec() - 1.0) * 100.0,
-        conv_del.io.cache.writebacks + conv_del.io.cache.sync_writes,
-        emb_del.io.cache.writebacks + emb_del.io.cache.sync_writes,
-        (conv_del.io.cache.writebacks + conv_del.io.cache.sync_writes) as f64
-            / (emb_del.io.cache.writebacks + emb_del.io.cache.sync_writes).max(1) as f64,
+        dirtied(conv_del),
+        dirtied(emb_del),
+        dirtied(conv_del) as f64 / dirtied(emb_del).max(1) as f64,
     ));
     (out, json)
 }

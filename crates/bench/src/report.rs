@@ -123,7 +123,6 @@ pub fn emit_bench(name: &str, payload: Json) {
 mod tests {
     use super::*;
     use cffs_disksim::SimDuration;
-    use cffs_fslib::IoStats;
 
     fn row(fs: &str, phase: &str, secs: f64) -> PhaseResult {
         PhaseResult {
@@ -133,7 +132,6 @@ mod tests {
             elapsed: SimDuration::from_secs_f64(secs),
             items: 100,
             bytes: 102_400,
-            io: IoStats::default(),
             counters: None,
             host_ns: 0,
         }

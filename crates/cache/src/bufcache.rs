@@ -14,7 +14,6 @@
 //! lock and re-validates, so staleness can only manifest as a miss.
 
 use cffs_disksim::driver::{Driver, IoReq};
-use cffs_fslib::vfs::CacheStats;
 use cffs_fslib::{FsResult, Ino, BLOCK_SIZE, SECTORS_PER_BLOCK};
 use cffs_obs::{Ctr, Obs, Sig};
 use std::collections::{BinaryHeap, HashMap};
@@ -99,7 +98,11 @@ struct CacheCore {
     /// Lazy min-heap of (stamp, slot) for LRU eviction.
     lru: BinaryHeap<Reverse<(u64, usize)>>,
     tick: u64,
-    stats: CacheStats,
+    /// Lookups resolved against this shard since it was last emptied,
+    /// and how many of them hit: the epoch hit rate that every cold
+    /// boundary samples into `cache_shard_hit_pct`.
+    lookups: u64,
+    hits: u64,
 }
 
 /// Shared context threaded into shard operations: everything a shard
@@ -192,7 +195,8 @@ impl CacheCore {
             phys: HashMap::new(),
             lru: BinaryHeap::new(),
             tick: 0,
-            stats: CacheStats::default(),
+            lookups: 0,
+            hits: 0,
         }
     }
 
@@ -223,7 +227,6 @@ impl CacheCore {
                 b.dirty = false;
             }
         }
-        self.stats.writebacks += dirty.len() as u64;
         dirty
     }
 
@@ -261,11 +264,9 @@ impl CacheCore {
             }
             if b.dirty {
                 ctx.driver.write(b.blkno * SECTORS_PER_BLOCK, &b.data);
-                self.stats.writebacks += 1;
                 ctx.obs.bump(Ctr::CacheWritebacks);
                 ctx.obs.bump(Ctr::CacheDelayedFlushes);
             }
-            self.stats.evictions += 1;
             ctx.obs.bump(Ctr::CacheEvictions);
             return slot;
         }
@@ -281,10 +282,10 @@ impl CacheCore {
     /// Core miss/hit path: return the slot for `blkno`, reading from disk
     /// on a miss when `read` is set (otherwise installing a zero buffer).
     fn get_slot(&mut self, ctx: &Ctx, blkno: u64, read: bool) -> FsResult<usize> {
-        self.stats.lookups += 1;
+        self.lookups += 1;
         ctx.obs.bump(Ctr::CacheLookups);
         if let Some(slot) = self.slot_of(blkno) {
-            self.stats.phys_hits += 1;
+            self.hits += 1;
             ctx.obs.bump(Ctr::CachePhysHits);
             self.touch(slot);
             self.gfetch_used(ctx, slot);
@@ -325,7 +326,6 @@ impl CacheCore {
             Some(id) if id == (ino, lbn) => {}
             old => {
                 if old.is_none() {
-                    self.stats.backbinds += 1;
                     ctx.obs.bump(Ctr::CacheBackbinds);
                 }
                 b.logical = Some((ino, lbn));
@@ -355,11 +355,14 @@ impl CacheCore {
         }
     }
 
+    /// Empty the shard; its hit-rate epoch starts over.
     fn clear(&mut self) {
         self.bufs.clear();
         self.free_slots.clear();
         self.phys.clear();
         self.lru.clear();
+        self.lookups = 0;
+        self.hits = 0;
     }
 }
 
@@ -378,9 +381,6 @@ pub struct BufferCache {
     /// recorded) once all of its blocks resolved as used or wasted.
     gfetches: Mutex<HashMap<u32, GroupFetch>>,
     next_gfetch: AtomicU32,
-    /// Counters not attributable to one shard (logical-index misses,
-    /// whole-cache group-read tallies).
-    misc: Mutex<CacheStats>,
     /// Shared observability handle. Starts as a private instance; the
     /// file-system layer rebinds it to the disk's handle via [`set_obs`]
     /// so the whole stack reports into one [`StatsSnapshot`].
@@ -404,7 +404,6 @@ impl BufferCache {
             logical: Mutex::new(HashMap::new()),
             gfetches: Mutex::new(HashMap::new()),
             next_gfetch: AtomicU32::new(0),
-            misc: Mutex::new(CacheStats::default()),
             obs: Obs::new(),
         }
     }
@@ -446,24 +445,6 @@ impl BufferCache {
         Ctx { obs: &self.obs, driver, logical: &self.logical, gfetches: &self.gfetches }
     }
 
-    /// Cumulative statistics (summed over shards).
-    pub fn stats(&self) -> CacheStats {
-        let mut total = *self.obs.lock_timed(&self.misc, Ctr::LockWaitNsCache);
-        for shard in &self.shards {
-            let s = self.obs.lock_timed(shard, Ctr::LockWaitNsCache).stats;
-            total.lookups += s.lookups;
-            total.phys_hits += s.phys_hits;
-            total.logical_hits += s.logical_hits;
-            total.backbinds += s.backbinds;
-            total.evictions += s.evictions;
-            total.writebacks += s.writebacks;
-            total.sync_writes += s.sync_writes;
-            total.group_reads += s.group_reads;
-            total.group_read_blocks += s.group_read_blocks;
-        }
-        total
-    }
-
     /// Rebind the observability handle (normally to `driver.obs()`, so
     /// cache counters land in the same registry as the disk's).
     pub fn set_obs(&mut self, obs: Arc<Obs>) {
@@ -473,14 +454,6 @@ impl BufferCache {
     /// The observability handle this cache reports into.
     pub fn obs(&self) -> Arc<Obs> {
         Arc::clone(&self.obs)
-    }
-
-    /// Reset statistics.
-    pub fn reset_stats(&self) {
-        for shard in &self.shards {
-            self.obs.lock_timed(shard, Ctr::LockWaitNsCache).stats = CacheStats::default();
-        }
-        *self.obs.lock_timed(&self.misc, Ctr::LockWaitNsCache) = CacheStats::default();
     }
 
     /// Number of resident buffers.
@@ -512,17 +485,14 @@ impl BufferCache {
             let lm = self.obs.lock_timed(&self.logical, Ctr::LockWaitNsCache);
             lm.get(&(ino, lbn)).copied()
         };
-        let Some(blk) = blk else {
-            self.obs.lock_timed(&self.misc, Ctr::LockWaitNsCache).lookups += 1;
-            return None;
-        };
+        let blk = blk?;
         let mut core = self.lock_shard(self.shard_of(blk));
-        core.stats.lookups += 1;
+        core.lookups += 1;
         match core.slot_of(blk) {
             Some(slot)
                 if core.bufs[slot].as_ref().is_some_and(|b| b.logical == Some((ino, lbn))) =>
             {
-                core.stats.logical_hits += 1;
+                core.hits += 1;
                 self.obs.bump(Ctr::CacheLogicalHits);
                 core.touch(slot);
                 Some(blk)
@@ -605,7 +575,6 @@ impl BufferCache {
             if b.dirty {
                 driver.write(blkno * SECTORS_PER_BLOCK, &b.data);
                 b.dirty = false;
-                core.stats.sync_writes += 1;
                 self.obs.bump(Ctr::CacheSyncFlushes);
             }
         }
@@ -620,14 +589,13 @@ impl BufferCache {
     /// The rest of the block stays dirty if it was dirty before.
     pub fn flush_sector_sync(&self, driver: &Driver, blkno: u64, offset: usize) -> FsResult<()> {
         let sector_in_block = offset / cffs_disksim::SECTOR_SIZE;
-        let mut core = self.lock_shard(self.shard_of(blkno));
+        let core = self.lock_shard(self.shard_of(blkno));
         if let Some(slot) = core.slot_of(blkno) {
             let b = core.bufs[slot].as_ref().expect("resident");
             let lo = sector_in_block * cffs_disksim::SECTOR_SIZE;
             let hi = lo + cffs_disksim::SECTOR_SIZE;
             let sector = b.data[lo..hi].to_vec();
             driver.write(blkno * SECTORS_PER_BLOCK + sector_in_block as u64, &sector);
-            core.stats.sync_writes += 1;
             self.obs.bump(Ctr::CacheSyncFlushes);
         }
         Ok(())
@@ -784,7 +752,6 @@ impl BufferCache {
             return Ok(());
         }
         let done = driver.submit_batch(reqs);
-        self.obs.lock_timed(&self.misc, Ctr::LockWaitNsCache).group_reads += 1;
         self.obs.bump(Ctr::CacheGroupReads);
         let fetch_id = self.next_gfetch.fetch_add(1, Ordering::Relaxed);
         // Register the tally before installing: with a tiny cache,
@@ -798,7 +765,6 @@ impl BufferCache {
         // Install every fetched block, identity-less. Block numbers come
         // from the requests themselves — the scheduler may have serviced
         // them in any order.
-        let mut installed = 0u64;
         for req in done {
             let base = req.lba / SECTORS_PER_BLOCK;
             let nblocks = req.data.len() / BLOCK_SIZE;
@@ -825,11 +791,9 @@ impl BufferCache {
                         gfetch: Some(fetch_id),
                     },
                 );
-                installed += 1;
                 self.obs.bump(Ctr::CacheGroupReadBlocks);
             }
         }
-        self.obs.lock_timed(&self.misc, Ctr::LockWaitNsCache).group_read_blocks += installed;
         Ok(())
     }
 
@@ -864,8 +828,7 @@ impl BufferCache {
             }
             // One hit-rate sample per shard per cold boundary: uneven
             // shard rates are the signature of a skewed workload.
-            let hits = core.stats.phys_hits + core.stats.logical_hits;
-            if let Some(pct) = (hits * 100).checked_div(core.stats.lookups) {
+            if let Some(pct) = (core.hits * 100).checked_div(core.lookups) {
                 self.obs.histos().cache_shard_hit_pct.record(pct);
             }
             core.clear();
@@ -908,10 +871,10 @@ mod tests {
         drv.with_disk_mut(|d| d.raw_write(100 * SECTORS_PER_BLOCK, &[7u8; BLOCK_SIZE]));
         let d = c.read_block(&drv, 100).unwrap();
         assert!(d.iter().all(|&b| b == 7));
-        let before = drv.disk_stats().reads;
+        let before = drv.obs().get(Ctr::DiskReads);
         let _ = c.read_block(&drv, 100).unwrap();
-        assert_eq!(drv.disk_stats().reads, before, "second read must not hit the disk");
-        assert_eq!(c.stats().phys_hits, 1);
+        assert_eq!(drv.obs().get(Ctr::DiskReads), before, "second read must not hit the disk");
+        assert_eq!(c.obs().get(Ctr::CachePhysHits), 1);
     }
 
     #[test]
@@ -919,7 +882,7 @@ mod tests {
         let drv = driver();
         let c = small_cache();
         c.modify_block(&drv, 50, false, false, |d| d.fill(9)).unwrap();
-        assert_eq!(drv.disk_stats().reads, 0);
+        assert_eq!(drv.obs().get(Ctr::DiskReads), 0);
         assert_eq!(c.dirty_count(), 1);
         c.sync(&drv).unwrap();
         assert_eq!(c.dirty_count(), 0);
@@ -938,8 +901,9 @@ mod tests {
         }
         c.modify_block(&drv, 50_000, false, false, |d| d.fill(2)).unwrap();
         c.sync(&drv).unwrap();
-        assert_eq!(drv.stats().physical_requests, 2, "16 adjacent + 1 = 2 phys writes");
-        assert_eq!(drv.stats().coalesced, 15);
+        let phys = drv.obs().get(Ctr::DriverPhysicalRequests);
+        assert_eq!(phys, 2, "16 adjacent + 1 = 2 phys writes");
+        assert_eq!(drv.obs().get(Ctr::DriverCoalesced), 15);
     }
 
     #[test]
@@ -965,7 +929,6 @@ mod tests {
         assert_eq!(obs.get(Ctr::DriverPhysicalRequests), 4);
         assert_eq!(obs.get(Ctr::DriverSgSegments), 8);
         assert_eq!(obs.get(Ctr::DriverCoalesced), 4);
-        assert_eq!(drv.stats().physical_requests, 4);
     }
 
     #[test]
@@ -1003,13 +966,13 @@ mod tests {
         let c = small_cache();
         c.modify_block(&drv, 10, true, false, |d| d.fill(3)).unwrap();
         c.flush_block_sync(&drv, 10).unwrap();
-        assert_eq!(c.stats().sync_writes, 1);
-        assert_eq!(drv.disk_stats().writes, 1);
+        assert_eq!(c.obs().get(Ctr::CacheSyncFlushes), 1);
+        assert_eq!(drv.obs().get(Ctr::DiskWrites), 1);
         // Clean now: second flush is a no-op.
         c.flush_block_sync(&drv, 10).unwrap();
-        assert_eq!(drv.disk_stats().writes, 1);
+        assert_eq!(drv.obs().get(Ctr::DiskWrites), 1);
         c.sync(&drv).unwrap();
-        assert_eq!(drv.disk_stats().writes, 1, "already clean");
+        assert_eq!(drv.obs().get(Ctr::DiskWrites), 1, "already clean");
     }
 
     #[test]
@@ -1018,7 +981,8 @@ mod tests {
         let c = small_cache();
         c.modify_block(&drv, 20, true, false, |d| d.fill(0xAB)).unwrap();
         c.flush_sector_sync(&drv, 20, 1024).unwrap();
-        assert_eq!(drv.disk_stats().sectors_written, 1);
+        let written = drv.obs().get(Ctr::DiskBytesWritten);
+        assert_eq!(written, cffs_disksim::SECTOR_SIZE as u64, "one sector");
         let mut sec = vec![0u8; 512];
         drv.with_disk(|d| d.raw_read(20 * SECTORS_PER_BLOCK + 2, &mut sec));
         assert!(sec.iter().all(|&b| b == 0xAB));
@@ -1040,8 +1004,8 @@ mod tests {
         let mut back = vec![0u8; BLOCK_SIZE];
         drv.with_disk(|d| d.raw_read(0, &mut back));
         assert!(back.iter().all(|&b| b == 0xEE));
-        assert_eq!(c.stats().evictions, 1);
-        assert_eq!(c.stats().writebacks, 1);
+        assert_eq!(c.obs().get(Ctr::CacheEvictions), 1);
+        assert_eq!(c.obs().get(Ctr::CacheWritebacks), 1);
     }
 
     #[test]
@@ -1052,15 +1016,15 @@ mod tests {
             drv.with_disk_mut(|d| d.raw_write(blk * SECTORS_PER_BLOCK, &vec![blk as u8; BLOCK_SIZE]));
         }
         c.read_group(&drv, &[(200, 16)]).unwrap();
-        assert_eq!(drv.disk_stats().reads, 1);
-        assert_eq!(c.stats().group_reads, 1);
-        assert_eq!(c.stats().group_read_blocks, 16);
+        assert_eq!(drv.obs().get(Ctr::DiskReads), 1);
+        assert_eq!(c.obs().get(Ctr::CacheGroupReads), 1);
+        assert_eq!(c.obs().get(Ctr::CacheGroupReadBlocks), 16);
         // All 16 now hit without further I/O.
         for blk in 200..216 {
             let d = c.read_block(&drv, blk).unwrap();
             assert_eq!(d[0], blk as u8);
         }
-        assert_eq!(drv.disk_stats().reads, 1);
+        assert_eq!(drv.obs().get(Ctr::DiskReads), 1);
     }
 
     #[test]
@@ -1073,7 +1037,7 @@ mod tests {
         let d = c.read_block(&drv, 205).unwrap();
         assert!(d.iter().all(|&b| b == 0x77));
         // Two physical reads: [200..205) and [206..216).
-        assert_eq!(drv.disk_stats().reads, 2);
+        assert_eq!(drv.obs().get(Ctr::DiskReads), 2);
     }
 
     #[test]
@@ -1081,14 +1045,14 @@ mod tests {
         let drv = driver();
         let c = BufferCache::new(CacheConfig { nbufs: 64, flush_watermark_pct: 100 });
         c.read_group(&drv, &[(300, 4)]).unwrap();
-        assert_eq!(c.stats().backbinds, 0);
+        assert_eq!(c.obs().get(Ctr::CacheBackbinds), 0);
         // File 42 claims block 301 as its lbn 0.
         let _ = c.read_block_bound(&drv, 301, 42, 0).unwrap();
-        assert_eq!(c.stats().backbinds, 1);
+        assert_eq!(c.obs().get(Ctr::CacheBackbinds), 1);
         assert_eq!(c.lookup_logical(42, 0), Some(301));
         // Rebinding the same identity is not another back-bind.
         let _ = c.read_block_bound(&drv, 301, 42, 0).unwrap();
-        assert_eq!(c.stats().backbinds, 1);
+        assert_eq!(c.obs().get(Ctr::CacheBackbinds), 1);
     }
 
     #[test]
@@ -1165,7 +1129,7 @@ mod tests {
         c.modify_block(&drv, 33, false, false, |d| d.fill(5)).unwrap();
         c.invalidate_block(&drv, 33);
         c.sync(&drv).unwrap();
-        assert_eq!(drv.disk_stats().writes, 0, "freed block must not be written");
+        assert_eq!(drv.obs().get(Ctr::DiskWrites), 0, "freed block must not be written");
     }
 
     #[test]
@@ -1253,7 +1217,7 @@ mod tests {
         for blk in 0..32u64 {
             assert_eq!(c.read_block(&drv, blk).unwrap()[0], blk as u8);
         }
-        assert_eq!(c.stats().writebacks, 32);
+        assert_eq!(c.obs().get(Ctr::CacheWritebacks), 32);
     }
 
     #[test]
@@ -1284,6 +1248,13 @@ mod tests {
         let snap = c.obs().histos().cache_shard_hit_pct.snapshot();
         assert_eq!(snap.count(), 2, "one sample per shard that saw lookups");
         assert_eq!(snap.sum, 75, "75% + 0%");
+        // The next boundary samples only its own epoch: one cold miss in
+        // the CG 0 shard, nothing in the other.
+        let _ = c.read_block(&drv, 1).unwrap();
+        c.drop_all(&drv).unwrap();
+        let snap = c.obs().histos().cache_shard_hit_pct.snapshot();
+        assert_eq!(snap.count(), 3, "an idle shard records no sample");
+        assert_eq!(snap.sum, 75, "the new epoch's sample is 0%");
     }
 }
 

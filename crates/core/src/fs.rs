@@ -49,7 +49,7 @@ use cffs_fslib::error::check_name;
 use cffs_fslib::inode::{Inode, MAX_FILE_SIZE, NDIRECT, NO_BLOCK, PTRS_PER_BLOCK};
 use cffs_fslib::vfs::MetadataMode;
 use cffs_fslib::{
-    Attr, CpuModel, DirEntry, FileKind, FsError, FsResult, FileSystem, Ino, IoStats, StatFs,
+    Attr, CpuModel, DirEntry, FileKind, FsError, FsResult, FileSystem, Ino, StatFs,
     BLOCK_SIZE,
 };
 use cffs_obs::{Ctr, Obs, OpKind, SpanGuard};
@@ -480,7 +480,9 @@ impl Cffs {
     }
 
     /// Enable/disable per-request disk trace recording (access-pattern
-    /// analysis; off by default).
+    /// analysis; off by default). Only this call clears the trace:
+    /// enabling starts an empty one that then spans every later request,
+    /// across any number of measured phases, until it is turned off.
     pub fn set_disk_trace(&self, on: bool) {
         self.drv.with_disk_mut(|d| d.set_trace(on));
     }
@@ -2381,21 +2383,6 @@ impl Cffs {
         self.drv.now()
     }
 
-    /// Stack-wide I/O counters — see [`FileSystem::io_stats`].
-    pub fn io_stats(&self) -> IoStats {
-        IoStats {
-            disk: self.drv.disk_stats(),
-            driver: self.drv.stats(),
-            cache: self.cache.stats(),
-        }
-    }
-
-    /// Reset I/O counters — see [`FileSystem::reset_io_stats`].
-    pub fn reset_io_stats(&self) {
-        self.drv.reset_stats();
-        self.cache.reset_stats();
-    }
-
     /// Sync then drop clean cache state — see [`FileSystem::drop_caches`].
     pub fn drop_caches(&self) -> FsResult<()> {
         let _span = self.op_span(OpKind::DropCaches);
@@ -2491,12 +2478,6 @@ impl FileSystem for Cffs {
     }
     fn now(&self) -> SimTime {
         Cffs::now(self)
-    }
-    fn io_stats(&self) -> IoStats {
-        Cffs::io_stats(self)
-    }
-    fn reset_io_stats(&mut self) {
-        Cffs::reset_io_stats(self)
     }
     fn drop_caches(&mut self) -> FsResult<()> {
         Cffs::drop_caches(self)
@@ -2803,7 +2784,7 @@ mod tests {
         let mut b = [0u8; 4];
         fs.read(f, 0, &mut b).unwrap();
         assert_eq!(&b, b"data");
-        assert!(fs.io_stats().cache.group_reads > 0);
+        assert!(fs.obs().get(Ctr::CacheGroupReads) > 0);
     }
 
     #[test]
@@ -2834,7 +2815,7 @@ mod tests {
             let f = fs.create(fs.root(), "big").unwrap();
             fs.write(f, 0, &vec![7u8; 512 * 1024]).unwrap();
             fs.drop_caches().unwrap();
-            fs.reset_io_stats();
+            let reads0 = fs.obs().get(Ctr::DiskReads);
             let t0 = fs.now();
             let mut buf = vec![0u8; 8192];
             let mut off = 0u64;
@@ -2842,7 +2823,7 @@ mod tests {
                 off += 8192;
             }
             assert!(buf.iter().all(|&b| b == 7));
-            (fs.io_stats().disk.reads, (fs.now() - t0))
+            (fs.obs().get(Ctr::DiskReads) - reads0, (fs.now() - t0))
         };
         let (reqs_off, t_off) = run(0);
         let (reqs_on, t_on) = run(16);

@@ -5,7 +5,6 @@
 use crate::cache::{OnboardCache, OnboardCacheConfig};
 use crate::geometry::Geometry;
 use crate::seek::SeekCurve;
-use crate::stats::DiskStats;
 use crate::store::SectorStore;
 use crate::time::{SimDuration, SimTime};
 use crate::SECTOR_SIZE;
@@ -108,13 +107,13 @@ pub struct TraceEntry {
     pub cache_hit: bool,
 }
 
-/// A simulated drive: model + mechanical state + contents + statistics.
+/// A simulated drive: model + mechanical state + contents. Service
+/// statistics go to the shared [`Obs`] counter registry.
 #[derive(Debug)]
 pub struct Disk {
     model: DiskModel,
     cache: OnboardCache,
     store: SectorStore,
-    stats: DiskStats,
     /// Cylinder the arm currently sits over.
     arm_cylinder: u32,
     /// Completion time of the last request (the drive is busy until then).
@@ -137,7 +136,6 @@ impl Disk {
             model,
             cache,
             store: SectorStore::new(),
-            stats: DiskStats::default(),
             arm_cylinder: 0,
             last_completion: SimTime::ZERO,
             last_write_undo: None,
@@ -167,21 +165,9 @@ impl Disk {
         self.model.geometry.total_sectors()
     }
 
-    /// Cumulative service statistics.
-    pub fn stats(&self) -> DiskStats {
-        self.stats
-    }
-
-    /// Reset statistics (mechanical state and contents are untouched).
-    pub fn reset_stats(&mut self) {
-        self.stats = DiskStats::default();
-        if let Some(t) = &mut self.trace {
-            t.clear();
-        }
-    }
-
-    /// Enable or disable per-request trace recording (disabled by default;
-    /// enabling clears any previous trace).
+    /// Enable or disable per-request trace recording (disabled by default).
+    /// This is the only call that clears the trace: enabling starts an
+    /// empty one, disabling drops it.
     pub fn set_trace(&mut self, on: bool) {
         self.trace = on.then(Vec::new);
     }
@@ -290,8 +276,6 @@ impl Disk {
         let n = self.check_range(lba, buf.len());
         let done = self.service(now, lba, n, false);
         self.store.read(lba, buf);
-        self.stats.reads += 1;
-        self.stats.sectors_read += n;
         self.obs.bump(Ctr::DiskRequests);
         self.obs.bump(Ctr::DiskReads);
         self.obs.add(Ctr::DiskBytesRead, n * SECTOR_SIZE as u64);
@@ -312,8 +296,6 @@ impl Disk {
         self.store.read(lba, &mut old);
         self.last_write_undo = Some((lba, old));
         self.store.write(lba, buf);
-        self.stats.writes += 1;
-        self.stats.sectors_written += n;
         self.obs.bump(Ctr::DiskRequests);
         self.obs.bump(Ctr::DiskWrites);
         self.obs.add(Ctr::DiskBytesWritten, n * SECTOR_SIZE as u64);
@@ -337,17 +319,15 @@ impl Disk {
         // The drive can't start before the previous request finished.
         let start = now.max(self.last_completion);
         let mut t = start + self.model.controller_overhead;
-        self.stats.overhead_ns += self.model.controller_overhead.as_nanos();
+        self.obs.add(Ctr::DiskOverheadNs, self.model.controller_overhead.as_nanos());
 
         if !is_write && self.cache.hit(lba, nsect) {
             // Cache hit: bus transfer only.
             let bytes = nsect * SECTOR_SIZE as u64;
             let xfer = SimDuration::from_secs_f64(bytes as f64 / (self.model.bus_mb_per_s * 1e6));
             t += xfer;
-            self.stats.transfer_ns += xfer.as_nanos();
-            self.stats.cache_hits += 1;
-            self.stats.busy_ns += (t - start).as_nanos();
             self.last_completion = t;
+            self.obs.add(Ctr::DiskTransferNs, xfer.as_nanos());
             self.obs.bump(Ctr::DiskCacheHits);
             self.obs.add(Ctr::DiskServiceNs, (t - start).as_nanos());
             self.obs.histos().disk_req_sectors.record(nsect);
@@ -378,7 +358,6 @@ impl Disk {
             seek += self.model.write_settle;
         }
         t += seek;
-        self.stats.seek_ns += seek.as_nanos();
         if dist > 0 {
             self.obs.bump(Ctr::DiskSeeks);
             self.obs.histos().disk_seek_cylinders.record(u64::from(dist));
@@ -394,7 +373,7 @@ impl Disk {
         }
         let rot = SimDuration::from_secs_f64(wait * rev.as_secs_f64());
         t += rot;
-        self.stats.rotation_ns += rot.as_nanos();
+        self.obs.add(Ctr::DiskRotationNs, rot.as_nanos());
 
         // Media transfer: walk the run track by track, paying switch costs
         // (hidden by skew when the skew is large enough).
@@ -440,14 +419,13 @@ impl Disk {
             };
         }
         t += xfer;
-        self.stats.transfer_ns += xfer.as_nanos();
+        self.obs.add(Ctr::DiskTransferNs, xfer.as_nanos());
 
         // Arm ends up where the transfer ended.
         self.arm_cylinder = cur.cylinder;
         if !is_write {
             self.cache.fill(lba, nsect, self.capacity_sectors());
         }
-        self.stats.busy_ns += (t - start).as_nanos();
         self.last_completion = t;
         self.obs.add(Ctr::DiskServiceNs, (t - start).as_nanos());
         self.obs.histos().disk_req_sectors.record(nsect);
@@ -489,6 +467,19 @@ mod tests {
         Disk::new(models::seagate_st31200())
     }
 
+    pub(super) fn service_ns(d: &Disk) -> u64 {
+        d.obs().get(Ctr::DiskServiceNs)
+    }
+
+    /// Seek + rotation + transfer + overhead: must equal [`service_ns`].
+    pub(super) fn bucket_sum_ns(d: &Disk) -> u64 {
+        let o = d.obs();
+        [Ctr::DiskSeekNs, Ctr::DiskRotationNs, Ctr::DiskTransferNs, Ctr::DiskOverheadNs]
+            .into_iter()
+            .map(|c| o.get(c))
+            .sum()
+    }
+
     #[test]
     fn write_read_round_trip() {
         let mut d = disk();
@@ -524,7 +515,7 @@ mod tests {
             warm.as_nanos() * 3 < cold.as_nanos(),
             "cache hit ({warm}) should be far cheaper than cold read ({cold})"
         );
-        assert_eq!(d.stats().cache_hits, 1);
+        assert_eq!(d.obs().get(Ctr::DiskCacheHits), 1);
     }
 
     #[test]
@@ -534,7 +525,7 @@ mod tests {
         let t1 = d.read(SimTime::ZERO, 5000, &mut buf);
         // The next blocks were prefetched.
         d.read(t1, 5008, &mut buf);
-        assert_eq!(d.stats().cache_hits, 1);
+        assert_eq!(d.obs().get(Ctr::DiskCacheHits), 1);
     }
 
     #[test]
@@ -566,7 +557,7 @@ mod tests {
         let t1 = d.read(SimTime::ZERO, 5000, &mut buf);
         let t2 = d.write(t1, 5000, &buf);
         let t3 = d.read(t2, 5000, &mut buf);
-        assert_eq!(d.stats().cache_hits, 0);
+        assert_eq!(d.obs().get(Ctr::DiskCacheHits), 0);
         assert!(t3 > t2);
     }
 
@@ -577,8 +568,8 @@ mod tests {
         let mut b = [0u8; 512];
         d.raw_read(42, &mut b);
         assert_eq!(b[0], 7);
-        assert_eq!(d.stats().total_requests(), 0);
-        assert_eq!(d.stats().busy_ns, 0);
+        assert_eq!(d.obs().get(Ctr::DiskRequests), 0);
+        assert_eq!(d.obs().get(Ctr::DiskServiceNs), 0);
     }
 
     #[test]
@@ -589,8 +580,7 @@ mod tests {
         for i in 0..20 {
             t = d.write(t, i * 12_345 % 1_000_000, &buf);
         }
-        let s = d.stats();
-        assert_eq!(s.busy_ns, s.seek_ns + s.rotation_ns + s.transfer_ns + s.overhead_ns);
+        assert_eq!(service_ns(&d), bucket_sum_ns(&d));
     }
 
     #[test]
@@ -647,7 +637,7 @@ mod proptests {
         #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
         /// Completion times are strictly increasing and every time bucket
-        /// sums to busy time, for arbitrary request sequences.
+        /// sums to the service time, for arbitrary request sequences.
         #[test]
         fn service_times_consistent(
             ops in prop::collection::vec((any::<u64>(), 1u64..32, any::<bool>()), 1..60)
@@ -666,11 +656,7 @@ mod proptests {
                 prop_assert!(done > t, "time must advance");
                 t = done;
             }
-            let s = d.stats();
-            prop_assert_eq!(
-                s.busy_ns,
-                s.seek_ns + s.rotation_ns + s.transfer_ns + s.overhead_ns
-            );
+            prop_assert_eq!(tests::service_ns(&d), tests::bucket_sum_ns(&d));
         }
 
         /// What is written is what is read back, at any alignment pattern.

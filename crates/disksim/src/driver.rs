@@ -13,11 +13,9 @@
 //! experiment taken so far".
 
 use crate::disk::Disk;
-use crate::stats::DiskStats;
 use crate::time::{SimDuration, SimTime};
 use crate::SECTOR_SIZE;
-use cffs_obs::json::{Json, ToJson};
-use cffs_obs::{obj, AttrDelta, Ctr, Obs, Sig, SpanCtx};
+use cffs_obs::{AttrDelta, Ctr, Obs, Sig, SpanCtx};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -74,30 +72,6 @@ impl IoReq {
     }
 }
 
-/// Driver-level statistics (above the disk's own counters).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DriverStats {
-    /// Requests handed to the driver before coalescing.
-    pub logical_requests: u64,
-    /// Requests issued to the disk after coalescing.
-    pub physical_requests: u64,
-    /// Logical requests eliminated by scatter/gather merging.
-    pub coalesced: u64,
-    /// Batches submitted.
-    pub batches: u64,
-}
-
-impl ToJson for DriverStats {
-    fn to_json(&self) -> Json {
-        obj![
-            ("logical_requests", self.logical_requests.to_json()),
-            ("physical_requests", self.physical_requests.to_json()),
-            ("coalesced", self.coalesced.to_json()),
-            ("batches", self.batches.to_json()),
-        ]
-    }
-}
-
 /// One queued submission: the requests, whether they form a schedulable
 /// batch, the submitter's virtual time and open span, and the channel
 /// the completed requests travel back on.
@@ -125,7 +99,6 @@ struct Shared {
     disk: Mutex<Disk>,
     queue: Mutex<VecDeque<Submission>>,
     cv: Condvar,
-    stats: Mutex<DriverStats>,
     config: DriverConfig,
     obs: Arc<Obs>,
     shutdown: AtomicBool,
@@ -162,7 +135,6 @@ impl Driver {
             disk: Mutex::new(disk),
             queue: Mutex::new(VecDeque::new()),
             cv: Condvar::new(),
-            stats: Mutex::new(DriverStats::default()),
             config,
             obs,
             shutdown: AtomicBool::new(false),
@@ -229,22 +201,6 @@ impl Driver {
         }
     }
 
-    /// Disk-level statistics.
-    pub fn disk_stats(&self) -> DiskStats {
-        self.with_disk(|d| d.stats())
-    }
-
-    /// Driver-level statistics.
-    pub fn stats(&self) -> DriverStats {
-        *self.shared.stats.lock().expect("driver stats poisoned")
-    }
-
-    /// Reset both driver and disk statistics.
-    pub fn reset_stats(&self) {
-        *self.shared.stats.lock().expect("driver stats poisoned") = DriverStats::default();
-        self.with_disk_mut(|d| d.reset_stats());
-    }
-
     /// Synchronously read `buf.len()` bytes at `lba`, advancing the
     /// calling thread's clock to the request's completion.
     pub fn read(&self, lba: u64, buf: &mut [u8]) {
@@ -275,13 +231,6 @@ impl Driver {
     /// advance this thread's clock to the completion time.
     fn submit(&self, reqs: Vec<IoReq>, batch: bool) -> Vec<IoReq> {
         let obs = &self.shared.obs;
-        {
-            let mut stats = self.shared.stats.lock().expect("driver stats poisoned");
-            stats.logical_requests += reqs.len() as u64;
-            if batch {
-                stats.batches += 1;
-            }
-        }
         obs.bump(Ctr::DriverQueueSubmit);
         obs.add(Ctr::DriverLogicalRequests, reqs.len() as u64);
         if batch {
@@ -363,11 +312,6 @@ fn worker_loop(shared: &Shared) {
         // last-completion time serializes overlapping submissions.
         let mut now = SimTime(stamp);
         for (lba, dir, parts) in merged {
-            {
-                let mut stats = shared.stats.lock().expect("driver stats poisoned");
-                stats.physical_requests += 1;
-                stats.coalesced += parts.len() as u64 - 1;
-            }
             shared.obs.bump(Ctr::DriverPhysicalRequests);
             shared.obs.add(Ctr::DriverSgSegments, parts.len() as u64);
             shared.obs.add(Ctr::DriverCoalesced, parts.len() as u64 - 1);
@@ -463,9 +407,10 @@ mod tests {
             .chain(std::iter::once(IoReq::write(500_000, vec![9u8; 4096])))
             .collect();
         d.submit_batch(reqs);
-        assert_eq!(d.stats().logical_requests, 5);
-        assert_eq!(d.stats().physical_requests, 2);
-        assert_eq!(d.stats().coalesced, 3);
+        let obs = d.obs();
+        assert_eq!(obs.get(Ctr::DriverLogicalRequests), 5);
+        assert_eq!(obs.get(Ctr::DriverPhysicalRequests), 2);
+        assert_eq!(obs.get(Ctr::DriverCoalesced), 3);
         // Contents landed in the right places.
         let mut buf = vec![0u8; 4096];
         d.read(1000 + 2 * 8, &mut buf);
@@ -484,7 +429,7 @@ mod tests {
             let want = ((r.lba - 2000) / 8) as u8;
             assert!(r.data.iter().all(|&b| b == want), "wrong data at lba {}", r.lba);
         }
-        assert_eq!(d.stats().physical_requests, 4 + 1); // 4 writes + 1 merged read
+        assert_eq!(d.obs().get(Ctr::DriverPhysicalRequests), 4 + 1); // 4 writes + 1 merged read
     }
 
     #[test]
@@ -540,7 +485,7 @@ mod tests {
         let out = d.submit_batch(Vec::new());
         assert!(out.is_empty());
         assert_eq!(d.now(), t0);
-        assert_eq!(d.stats().batches, 0);
+        assert_eq!(d.obs().get(Ctr::DriverBatches), 0);
     }
 
     #[test]
@@ -548,7 +493,7 @@ mod tests {
         let d = driver(Scheduler::CLook);
         d.advance(SimDuration::from_millis(3));
         assert_eq!(d.now().as_nanos(), 3_000_000);
-        assert_eq!(d.disk_stats().total_requests(), 0);
+        assert_eq!(d.obs().get(Ctr::DiskRequests), 0);
     }
 }
 
@@ -608,9 +553,12 @@ mod proptests {
             let n = lbas.len() as u64;
             let reqs = lbas.into_iter().map(|l| IoReq::write(l * 8, vec![0u8; 4096])).collect();
             drv.submit_batch(reqs);
-            let s = drv.stats();
-            prop_assert_eq!(s.logical_requests, n);
-            prop_assert_eq!(s.physical_requests + s.coalesced, n);
+            let obs = drv.obs();
+            prop_assert_eq!(obs.get(Ctr::DriverLogicalRequests), n);
+            prop_assert_eq!(
+                obs.get(Ctr::DriverPhysicalRequests) + obs.get(Ctr::DriverCoalesced),
+                n
+            );
         }
     }
 }

@@ -56,7 +56,6 @@ pub mod driver;
 pub mod geometry;
 pub mod models;
 pub mod seek;
-pub mod stats;
 pub mod store;
 pub mod time;
 
@@ -66,7 +65,6 @@ pub use disk::{Disk, DiskModel, TraceEntry};
 pub use driver::{Driver, DriverConfig, IoDir, IoReq, Scheduler};
 pub use geometry::{Geometry, Zone};
 pub use seek::SeekCurve;
-pub use stats::DiskStats;
 pub use time::{SimDuration, SimTime};
 
 /// Size of a disk sector in bytes. All 90s-era SCSI drives used 512.

@@ -32,7 +32,7 @@ use cffs_fslib::error::check_name;
 use cffs_fslib::inode::{Inode, MAX_FILE_SIZE, NDIRECT, NO_BLOCK, PTRS_PER_BLOCK};
 use cffs_fslib::vfs::MetadataMode;
 use cffs_fslib::{
-    Attr, CpuModel, DirEntry, FileKind, FsError, FsResult, FileSystem, Ino, IoStats, StatFs,
+    Attr, CpuModel, DirEntry, FileKind, FsError, FsResult, FileSystem, Ino, StatFs,
     BLOCK_SIZE,
 };
 use cffs_obs::{Ctr, Obs, OpKind, SpanGuard};
@@ -134,7 +134,9 @@ impl Ffs {
     }
 
     /// Enable/disable per-request disk trace recording (access-pattern
-    /// analysis; off by default).
+    /// analysis; off by default). Only this call clears the trace:
+    /// enabling starts an empty one that then spans every later request,
+    /// across any number of measured phases, until it is turned off.
     pub fn set_disk_trace(&mut self, on: bool) {
         self.drv.with_disk_mut(|d| d.set_trace(on));
     }
@@ -937,19 +939,6 @@ impl FileSystem for Ffs {
         self.drv.now()
     }
 
-    fn io_stats(&self) -> IoStats {
-        IoStats {
-            disk: self.drv.disk_stats(),
-            driver: self.drv.stats(),
-            cache: self.cache.stats(),
-        }
-    }
-
-    fn reset_io_stats(&mut self) {
-        self.drv.reset_stats();
-        self.cache.reset_stats();
-    }
-
     fn drop_caches(&mut self) -> FsResult<()> {
         let _span = self.op_span(OpKind::DropCaches);
         self.sync()?;
@@ -1090,11 +1079,11 @@ mod tests {
         let root = fs.root();
         let d = fs.mkdir(root, "d").unwrap();
         fs.sync().unwrap();
-        fs.reset_io_stats();
+        let before = fs.obs().get(Ctr::CacheSyncFlushes);
         for i in 0..20 {
             fs.create(d, &format!("f{i}")).unwrap();
         }
-        let sync_writes = fs.io_stats().cache.sync_writes;
+        let sync_writes = fs.obs().get(Ctr::CacheSyncFlushes) - before;
         assert!(
             (40..=44).contains(&sync_writes),
             "expected ~2 ordered writes per create, saw {sync_writes} for 20 creates"

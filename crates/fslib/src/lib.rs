@@ -32,8 +32,7 @@ pub use cpu::CpuModel;
 pub use error::{FsError, FsResult};
 pub use inode::Inode;
 pub use vfs::{
-    Attr, CacheStats, ConcurrentFs, DirEntry, FileKind, FileSystem, Ino, IoStats,
-    MetadataMode, StatFs,
+    Attr, ConcurrentFs, DirEntry, FileKind, FileSystem, Ino, MetadataMode, StatFs,
 };
 
 /// File-system block size in bytes. The paper's implementation used 4 KB

@@ -7,7 +7,7 @@
 //! operation sequence and must end in the same logical state as `ModelFs`.
 
 use crate::error::{check_name, FsError, FsResult};
-use crate::vfs::{Attr, DirEntry, FileKind, FileSystem, Ino, IoStats, StatFs};
+use crate::vfs::{Attr, DirEntry, FileKind, FileSystem, Ino, StatFs};
 use cffs_disksim::SimTime;
 use std::collections::{BTreeMap, HashMap};
 
@@ -292,12 +292,6 @@ impl FileSystem for ModelFs {
     fn now(&self) -> SimTime {
         SimTime::ZERO
     }
-
-    fn io_stats(&self) -> IoStats {
-        IoStats::default()
-    }
-
-    fn reset_io_stats(&mut self) {}
 }
 
 /// The model behind one big mutex: the reference implementation of

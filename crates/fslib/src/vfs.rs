@@ -23,10 +23,7 @@
 
 use crate::cpu::CpuModel;
 use crate::error::FsResult;
-use cffs_disksim::{DiskStats, SimTime};
-use cffs_disksim::driver::DriverStats;
-use cffs_obs::json::{Json, ToJson};
-use cffs_obs::obj;
+use cffs_disksim::SimTime;
 
 /// An inode number. For embedded inodes this encodes a physical location;
 /// treat it as opaque.
@@ -84,70 +81,6 @@ pub struct StatFs {
     pub total_inodes: u64,
     /// Free inode slots (meaningless when `total_inodes` is dynamic).
     pub free_inodes: u64,
-}
-
-/// Buffer-cache statistics, defined here so the trait can expose them
-/// without a circular crate dependency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Block lookups.
-    pub lookups: u64,
-    /// Hits via the physical-address index.
-    pub phys_hits: u64,
-    /// Hits via the logical (file, offset) index.
-    pub logical_hits: u64,
-    /// Group-fetched blocks later claimed by their file ("back-binding",
-    /// the paper's Section 3 mechanism).
-    pub backbinds: u64,
-    /// Buffers evicted.
-    pub evictions: u64,
-    /// Dirty buffers written back.
-    pub writebacks: u64,
-    /// Synchronous (ordering-constrained) metadata writes.
-    pub sync_writes: u64,
-    /// Whole-group reads issued.
-    pub group_reads: u64,
-    /// Blocks brought in by group reads.
-    pub group_read_blocks: u64,
-}
-
-
-impl ToJson for CacheStats {
-    fn to_json(&self) -> Json {
-        obj![
-            ("lookups", self.lookups.to_json()),
-            ("phys_hits", self.phys_hits.to_json()),
-            ("logical_hits", self.logical_hits.to_json()),
-            ("backbinds", self.backbinds.to_json()),
-            ("evictions", self.evictions.to_json()),
-            ("writebacks", self.writebacks.to_json()),
-            ("sync_writes", self.sync_writes.to_json()),
-            ("group_reads", self.group_reads.to_json()),
-            ("group_read_blocks", self.group_read_blocks.to_json()),
-        ]
-    }
-}
-
-/// Combined I/O accounting: what the E8 reproduction reads out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct IoStats {
-    /// Drive-level counters.
-    pub disk: DiskStats,
-    /// Driver-level counters (coalescing).
-    pub driver: DriverStats,
-    /// Buffer-cache counters.
-    pub cache: CacheStats,
-}
-
-
-impl ToJson for IoStats {
-    fn to_json(&self) -> Json {
-        obj![
-            ("disk", self.disk.to_json()),
-            ("driver", self.driver.to_json()),
-            ("cache", self.cache.to_json()),
-        ]
-    }
 }
 
 /// Metadata-integrity policy — the paper's Section 4 experimental axis.
@@ -227,12 +160,6 @@ pub trait FileSystem {
 
     /// Current simulated time (the experiment clock).
     fn now(&self) -> SimTime;
-
-    /// Cumulative I/O statistics.
-    fn io_stats(&self) -> IoStats;
-
-    /// Reset I/O statistics (for per-phase measurement).
-    fn reset_io_stats(&mut self);
 
     /// Sync, then drop all clean cached state, emulating a remount so the
     /// next phase starts cold — how the benchmark separates create and read

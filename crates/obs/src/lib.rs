@@ -74,6 +74,14 @@ counters! {
     DiskSeeks => "disk_seeks",
     /// Nanoseconds the arm spent seeking.
     DiskSeekNs => "disk_seek_ns",
+    /// Nanoseconds spent waiting for the target sector to rotate under
+    /// the head.
+    DiskRotationNs => "disk_rotation_ns",
+    /// Nanoseconds of media transfer (including track/cylinder switches)
+    /// or, on an on-board cache hit, of bus transfer.
+    DiskTransferNs => "disk_transfer_ns",
+    /// Nanoseconds of fixed per-request controller overhead.
+    DiskOverheadNs => "disk_overhead_ns",
     /// Total simulated service time, nanoseconds.
     DiskServiceNs => "disk_service_ns",
     /// Bytes transferred from the media on reads.

@@ -1,16 +1,16 @@
 //! Phase measurement.
 //!
-//! Each benchmark phase is wrapped in [`measure`]: statistics are reset,
-//! the phase body runs, and the simulated elapsed time plus I/O deltas are
-//! captured. The paper's discipline is followed exactly: "In all of our
+//! Each benchmark phase is wrapped in [`measure`]: the counter registry is
+//! snapshotted, the phase body runs, and the simulated elapsed time plus
+//! the counter delta are captured. The paper's discipline is followed exactly: "In all of our
 //! experiments, we forcefully write back all dirty blocks before
 //! considering the measurement complete" — the phase body is followed by a
 //! `sync` *inside* the measured region.
 
 use cffs_disksim::SimDuration;
-use cffs_fslib::{FileSystem, FsResult, IoStats};
+use cffs_fslib::{FileSystem, FsResult};
 use cffs_obs::json::{Json, ToJson};
-use cffs_obs::{obj, prof, StatsSnapshot};
+use cffs_obs::{obj, prof, Ctr, StatsSnapshot};
 
 /// Result of one measured phase.
 #[derive(Debug, Clone)]
@@ -28,8 +28,6 @@ pub struct PhaseResult {
     pub items: u64,
     /// Payload bytes moved (excluding metadata).
     pub bytes: u64,
-    /// I/O counter deltas for the phase.
-    pub io: IoStats,
     /// Full observability counter deltas for the phase (`None` when the
     /// stack carries no instrumentation, e.g. the in-memory model fs).
     pub counters: Option<StatsSnapshot>,
@@ -50,7 +48,6 @@ impl ToJson for PhaseResult {
             ("elapsed_ns", self.elapsed.to_json()),
             ("items", self.items.to_json()),
             ("bytes", self.bytes.to_json()),
-            ("io", self.io.to_json()),
             ("host_ns", self.host_ns.to_json()),
         ];
         if let (Json::Obj(m), Some(snap)) = (&mut j, &self.counters) {
@@ -87,13 +84,21 @@ impl PhaseResult {
         self.bytes as f64 / 1e6 / self.elapsed.as_secs_f64()
     }
 
-    /// Physical disk requests issued during the phase.
+    /// Physical disk requests issued during the phase (zero for a stack
+    /// without instrumentation).
     pub fn disk_requests(&self) -> u64 {
-        self.io.disk.total_requests()
+        self.counter(Ctr::DiskRequests)
+    }
+
+    /// One counter's delta over the phase (zero for a stack without
+    /// instrumentation).
+    pub fn counter(&self, c: Ctr) -> u64 {
+        self.counters.as_ref().map_or(0, |s| s.get(c))
     }
 }
 
-/// Run `body` as a measured phase: reset stats, execute, sync, capture.
+/// Run `body` as a measured phase: snapshot counters, execute, sync,
+/// capture the delta.
 /// `items` and `bytes` describe the completed work for rate computation.
 pub fn measure<F: FileSystem + ?Sized>(
     fs: &mut F,
@@ -102,7 +107,6 @@ pub fn measure<F: FileSystem + ?Sized>(
     bytes: u64,
     body: impl FnOnce(&mut F) -> FsResult<()>,
 ) -> FsResult<PhaseResult> {
-    fs.reset_io_stats();
     let before = fs.obs().map(|o| o.snapshot(fs.label(), fs.now().as_nanos()));
     let t0 = fs.now();
     let host_t0 = std::time::Instant::now();
@@ -122,7 +126,6 @@ pub fn measure<F: FileSystem + ?Sized>(
         elapsed,
         items,
         bytes,
-        io: fs.io_stats(),
         counters,
         host_ns,
     })

@@ -11,6 +11,7 @@
 
 use cffs::build;
 use cffs::core::{Cffs, CffsConfig};
+use cffs::obs::Ctr;
 use cffs::prelude::*;
 use cffs_disksim::models;
 use cffs::workloads::smallfile::{Assignment, SmallFileParams};
@@ -94,19 +95,20 @@ fn main() -> FsResult<()> {
         let mut fs = build::on_disk(models::seagate_st31200(), cfg);
         let dirs = populate(&mut fs)?;
         fs.set_disk_trace(true);
-        fs.reset_io_stats();
+        let obs = fs.obs();
+        let before = obs.snapshot(&label, fs.now().as_nanos());
         read_phase(&mut fs, &dirs)?;
         analyze(&label, &fs);
-        let io = fs.io_stats();
-        let d = io.disk;
-        let busy = d.busy_ns.max(1) as f64;
+        let d = obs.snapshot(&label, fs.now().as_nanos()).delta(&before);
+        let busy = d.get(Ctr::DiskServiceNs).max(1) as f64;
+        let pct = |c: Ctr| d.get(c) as f64 * 100.0 / busy;
         println!(
             "{:<16} time: {:.0}% seek, {:.0}% rotation, {:.0}% transfer, {:.0}% overhead\n",
             "",
-            d.seek_ns as f64 * 100.0 / busy,
-            d.rotation_ns as f64 * 100.0 / busy,
-            d.transfer_ns as f64 * 100.0 / busy,
-            d.overhead_ns as f64 * 100.0 / busy,
+            pct(Ctr::DiskSeekNs),
+            pct(Ctr::DiskRotationNs),
+            pct(Ctr::DiskTransferNs),
+            pct(Ctr::DiskOverheadNs),
         );
     }
     println!(

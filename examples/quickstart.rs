@@ -5,6 +5,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use cffs::build;
+use cffs::obs::Ctr;
 use cffs::prelude::*;
 
 fn main() -> FsResult<()> {
@@ -33,25 +34,29 @@ fn main() -> FsResult<()> {
 
     // Cold-read the tree (drop caches = remount) and look at the cost.
     fs.drop_caches()?;
-    fs.reset_io_stats();
+    let obs = fs.obs();
+    let before = obs.snapshot("quickstart", fs.now().as_nanos());
     let t0 = fs.now();
     let text = path::read_file(&mut fs, "/src/main.c")?;
     let _ = path::read_file(&mut fs, "/src/include/util.h")?;
     let _ = path::read_file(&mut fs, "/src/README")?;
     let t1 = fs.now();
 
-    let io = fs.io_stats();
+    // The counter registry is monotonic: the cost is a snapshot delta.
+    let io = obs.snapshot("quickstart", t1.as_nanos()).delta(&before);
     println!("\nread back {:?}...", String::from_utf8_lossy(&text[..12]));
     println!("cold read of 3 small files took {} simulated", t1 - t0);
     println!(
         "disk requests: {} (group reads: {}, blocks via group fetch: {})",
-        io.disk.total_requests(),
-        io.cache.group_reads,
-        io.cache.group_read_blocks
+        io.get(Ctr::DiskRequests),
+        io.get(Ctr::CacheGroupReads),
+        io.get(Ctr::CacheGroupReadBlocks)
     );
     println!(
         "cache: {} lookups, {} physical hits, {} back-bindings",
-        io.cache.lookups, io.cache.phys_hits, io.cache.backbinds
+        io.get(Ctr::CacheLookups),
+        io.get(Ctr::CachePhysHits),
+        io.get(Ctr::CacheBackbinds)
     );
 
     let st = fs.statfs()?;

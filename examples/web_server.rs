@@ -19,6 +19,7 @@
 
 use cffs::build;
 use cffs::core::Cffs;
+use cffs::obs::Ctr;
 use cffs::prelude::*;
 use cffs_disksim::SimDuration;
 
@@ -51,9 +52,10 @@ fn build_site(fs: &mut Cffs) -> FsResult<(Ino, Ino)> {
 fn serve_all(fs: &mut Cffs, html: Ino, img: Ino) -> FsResult<(SimDuration, u64)> {
     let mut total = SimDuration::ZERO;
     let mut reqs = 0u64;
+    let obs = fs.obs();
     for d in 0..DOCS {
         fs.drop_caches()?;
-        fs.reset_io_stats();
+        let before = obs.snapshot("web", fs.now().as_nanos());
         let t0 = fs.now();
         let page = fs.lookup(html, &format!("page{d:02}.html"))?;
         let _ = path::read_all(fs, page)?;
@@ -62,7 +64,7 @@ fn serve_all(fs: &mut Cffs, html: Ino, img: Ino) -> FsResult<(SimDuration, u64)>
             let _ = path::read_all(fs, gif)?;
         }
         total += fs.now() - t0;
-        reqs += fs.io_stats().disk.total_requests();
+        reqs += obs.snapshot("web", fs.now().as_nanos()).delta(&before).get(Ctr::DiskRequests);
     }
     Ok((SimDuration::from_nanos(total.as_nanos() / DOCS as u64), reqs))
 }

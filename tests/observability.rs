@@ -10,6 +10,8 @@ use cffs_disksim::models;
 use cffs_disksim::Disk;
 use cffs_obs::json::ToJson;
 use cffs_obs::{StatsSnapshot, DEFAULT_TRACE_CAPACITY};
+use cffs_fslib::path::write_file;
+use cffs_workloads::runner::measure;
 use cffs_workloads::smallfile::{self, SmallFileParams};
 
 fn fresh(cfg: CffsConfig) -> Cffs {
@@ -223,6 +225,27 @@ fn phase_rows_carry_per_op_latency_percentiles() {
         }
         assert!(per_op.get("count").unwrap().as_u64().unwrap() >= 60);
     }
+}
+
+/// Phase measurement never truncates a disk trace: a trace armed before
+/// two measured phases holds every request of both (only
+/// `set_disk_trace` clears it).
+#[test]
+fn disk_trace_armed_before_two_phases_holds_both() {
+    let mut fs = fresh(CffsConfig::cffs());
+    fs.set_disk_trace(true);
+    let data = [3u8; 1024];
+    let one = measure(&mut fs, "one", 1, 1024, |fs| write_file(fs, "/a", &data).map(|_| ()))
+        .unwrap();
+    let two = measure(&mut fs, "two", 1, 1024, |fs| write_file(fs, "/b", &data).map(|_| ()))
+        .unwrap();
+    assert!(one.disk_requests() > 0 && two.disk_requests() > 0);
+    let trace = fs.disk_trace();
+    assert_eq!(trace.len() as u64, one.disk_requests() + two.disk_requests());
+    // The first phase's requests are still there, ahead of the second's.
+    let second_start = trace[one.disk_requests() as usize].start.as_nanos();
+    assert!(second_start >= two.start_ns, "phase two's requests follow phase one's");
+    assert!(trace[0].start.as_nanos() < two.start_ns, "phase one's requests survive");
 }
 
 /// Determinism regression (what makes `cffs-inspect timeline` byte-stable):
