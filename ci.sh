@@ -20,9 +20,10 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "== bench smoke (repro_smallfile + repro_aging_regroup + repro_concurrent + repro_namei + repro_volume + repro_diskreqs, reduced scale) =="
 BENCH_TMP=$(mktemp -d)
+# Feed and flight recorder armed together: both sinks share one producer.
 BENCH_OUT_DIR="$BENCH_TMP/out" cargo run --release --offline -p cffs-bench \
     --bin repro_smallfile -- --files 60 --dirs 3 --mode sync --seed 1997 \
-    --flight "$BENCH_TMP/flight" > /dev/null
+    --feed "$BENCH_TMP/feed_smallfile.jsonl" --flight "$BENCH_TMP/flight" > /dev/null
 BENCH_OUT_DIR="$BENCH_TMP/out" cargo run --release --offline -p cffs-bench \
     --bin repro_aging_regroup -- --feed "$BENCH_TMP/feed.jsonl" > /dev/null
 # Reduced scale must match the checked-in BENCH_CONCURRENT baseline
@@ -54,11 +55,14 @@ done
 cargo run --release --offline -p cffs-bench --bin bench_schema_check -- \
     "$BENCH_TMP"/out/BENCH_*.json
 
-echo "== telemetry feed smoke (frame schema + cffs-top headless replay) =="
-# The aging_regroup smoke above recorded a live feed; every frame must
+echo "== telemetry feed smoke (record schema + cffs-top headless replay and follow) =="
+# The aging_regroup smoke above recorded a live feed; every record must
 # validate, and the dashboard must replay it headless.
 cargo run --release --offline -p cffs-bench --bin bench_schema_check -- \
     --feed "$BENCH_TMP/feed.jsonl"
+# The smallfile smoke's feed was cut alongside its flight recorder.
+cargo run --release --offline -p cffs-bench --bin bench_schema_check -- \
+    --feed "$BENCH_TMP/feed_smallfile.jsonl"
 # The repro_volume smoke recorded a feed with per-volume rows; every
 # frame (including its volumes array) must validate too.
 cargo run --release --offline -p cffs-bench --bin bench_schema_check -- \
@@ -67,11 +71,17 @@ cargo run --release --offline --bin cffs-top -- \
     --replay "$BENCH_TMP/feed.jsonl" --headless --frames 5 \
     | grep -q '^rendered 5 frames$' \
     || { echo "cffs-top headless replay smoke failed"; exit 1; }
+# The follow path reads appended whole lines; on a finished feed it must
+# render the first frames just as the replay does.
+cargo run --release --offline --bin cffs-top -- \
+    --follow "$BENCH_TMP/feed.jsonl" --headless --frames 5 \
+    | grep -q '^rendered 5 frames$' \
+    || { echo "cffs-top headless follow smoke failed"; exit 1; }
 
 echo "== flight recorder + postmortem smoke (black box, fault injection) =="
-# The smallfile smoke above armed a black box; its finished run must have
-# left a schema-valid dump whose last frame matches the final counter
-# snapshot (the postmortem's consistency check).
+# The smallfile smoke above armed a black box (next to its feed); its
+# finished run must have left a schema-valid dump whose last frame
+# matches the final counter snapshot (the postmortem's consistency check).
 for dump in "$BENCH_TMP"/flight/FLIGHT_*.jsonl; do
     cargo run --release --offline --bin cffs-inspect -- postmortem "$dump" \
         | grep -q 'internally consistent' \

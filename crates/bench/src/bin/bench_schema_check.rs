@@ -4,9 +4,10 @@
 //!        bench_schema_check --feed <feed.jsonl>...
 //!
 //! `--feed` switches to feed mode: each file is a JSONL telemetry feed
-//! (written by a repro binary's `--feed` flag) and every frame must
-//! validate against `cffs_obs::feed::validate_frame` — the same checker
-//! the feed unit tests use, so the frame schema cannot drift from CI.
+//! (written by a repro binary's `--feed` flag) and every record must
+//! validate against `cffs_obs::telemetry::validate_record` — the same
+//! checker the telemetry unit tests use, so the frame schema cannot
+//! drift from CI.
 //!
 //! Each file must parse with the in-tree JSON reader and carry the
 //! observability payload the analysis tooling relies on: a non-empty
@@ -93,13 +94,13 @@ fn check(path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Feed mode: parse + validate every frame, and require at least one
-/// (an empty feed means the producer never cut a frame — a wiring bug,
-/// not a quiet success).
+/// Feed mode: parse + validate every record, and require at least one
+/// frame (an empty feed means the producer never cut a frame — a wiring
+/// bug, not a quiet success).
 fn check_feed(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read: {e}"))?;
-    let frames = cffs_obs::feed::parse_feed(&text)?;
-    if frames.is_empty() {
+    let records = cffs_obs::telemetry::parse_feed(&text)?;
+    if !records.iter().any(cffs_obs::telemetry::is_frame) {
         return Err("feed has no frames".into());
     }
     Ok(())

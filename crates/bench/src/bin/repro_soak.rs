@@ -15,6 +15,7 @@ use cffs::build;
 use cffs_core::CffsConfig;
 use cffs_disksim::models;
 use cffs_fslib::MetadataMode;
+use cffs_obs::telemetry::{tap_global, Cadence};
 use cffs_workloads::soak::{self, SoakParams};
 
 fn arg(args: &[String], name: &str) -> Option<u64> {
@@ -40,12 +41,8 @@ fn main() {
     );
     let obs = fs.obs();
     let _feed = match arg(&args, "--host-ms") {
-        Some(ms) => cffs_obs::feed::tap_global(
-            &obs,
-            "soak",
-            cffs_obs::feed::Cadence::Host(std::time::Duration::from_millis(ms)),
-        ),
-        None => cffs_obs::feed::tap_global_sim(&obs, "soak"),
+        Some(ms) => tap_global(&obs, "soak", Cadence::Host(std::time::Duration::from_millis(ms))),
+        None => tap_global(&obs, "soak", Cadence::Sim),
     };
     let r = soak::run(&mut fs, &p, |i| {
         eprintln!("soak: round {}/{} done", i + 1, p.rounds);

@@ -27,6 +27,7 @@ use cffs_disksim::models;
 use cffs_fslib::{FileKind, FileSystem, FsResult, Ino, MetadataMode, BLOCK_SIZE};
 use cffs_obs::json::{Json, ToJson};
 use cffs_obs::obj;
+use cffs_obs::telemetry::{tap_global, Cadence};
 use cffs_regroup::{AutotriggerConfig, RegroupConfig, RegroupMode, RegroupOutcome};
 use cffs_workloads::aging::{age_adversarial, AdversarialParams};
 use cffs_workloads::runner::{cold_boundary, measure};
@@ -166,7 +167,7 @@ fn autotrigger_run(seed: u64) -> AutotriggerResult {
     let obs = fs.obs();
     // The stage the feed exists to show: the utilization EWMA decaying
     // until the floor crossing fires budgeted regroup passes live.
-    let _feed = cffs_obs::feed::tap_global_sim(&obs, "autotrigger");
+    let _feed = tap_global(&obs, "autotrigger", Cadence::Sim);
     let (mut fires, mut blocks_moved) = (0usize, 0usize);
     // Each round reads every directory cold; the aged layout's mixed
     // extents feed low-utilization samples into the EWMA until the
@@ -211,7 +212,7 @@ pub fn report(seed: u64) -> (String, Json) {
         // taps share the global sink, so the whole run replays as one
         // fresh → aged → regrouped → autotrigger feed in cffs-top.
         let obs = fresh_fs.obs();
-        let _feed = cffs_obs::feed::tap_global_sim(&obs, "fresh-read");
+        let _feed = tap_global(&obs, "fresh-read", Cadence::Sim);
         grouped_read(&mut fresh_fs, "fresh-read")
     };
 
@@ -219,7 +220,7 @@ pub fn report(seed: u64) -> (String, Json) {
     let mut fs = aged_instance(seed);
     let (aged_row, aged_util) = {
         let obs = fs.obs();
-        let _feed = cffs_obs::feed::tap_global_sim(&obs, "aged-read");
+        let _feed = tap_global(&obs, "aged-read", Cadence::Sim);
         grouped_read(&mut fs, "aged-read")
     };
 
@@ -250,7 +251,7 @@ pub fn report(seed: u64) -> (String, Json) {
     // Exhaustive pass on the measured instance — the acceptance row.
     let (rec_row, rec_util, outcome) = {
         let obs = fs.obs();
-        let _feed = cffs_obs::feed::tap_global_sim(&obs, "regrouped-read");
+        let _feed = tap_global(&obs, "regrouped-read", Cadence::Sim);
         let outcome = cffs_regroup::run(&mut fs, &RegroupConfig::exhaustive()).expect("regroup");
         fs.sync().expect("sync");
         let (row, util) = grouped_read(&mut fs, "regrouped-read");

@@ -21,6 +21,7 @@ use cffs_disksim::models;
 use cffs_fslib::MetadataMode;
 use cffs_obs::json::{Json, ToJson};
 use cffs_obs::obj;
+use cffs_obs::telemetry::{tap_global, Cadence};
 use cffs_workloads::concurrent::{self, ConcurrentParams};
 use cffs_workloads::PhaseResult;
 
@@ -58,11 +59,7 @@ fn point(p: &ConcurrentParams) -> Point {
     // themselves are multi-threaded, so frames are cut only at the
     // quiescent hook points — and the per-thread op rows still show the
     // fan-out because client threads bind slots 1..=N.
-    let feed = cffs_obs::feed::tap_global(
-        &obs,
-        &format!("concurrent-{}t", p.nthreads),
-        cffs_obs::feed::Cadence::Manual,
-    );
+    let feed = tap_global(&obs, &format!("concurrent-{}t", p.nthreads), Cadence::Manual);
     let r = concurrent::run_with_phase_hook(&fs, p, |phase| {
         if let Some(tap) = &feed {
             tap.frame(&format!("concurrent-{}t/{phase}", p.nthreads));

@@ -25,6 +25,7 @@ use cffs_core::{fsck, CffsConfig};
 use cffs_disksim::models;
 use cffs_fslib::{FileSystem, MetadataMode};
 use cffs_obs::json::{Json, ToJson};
+use cffs_obs::telemetry::{tap_global, Cadence};
 use cffs_obs::{obj, Ctr, OpKind};
 use cffs_workloads::namei::{self, NameiParams};
 use cffs_workloads::runner::{cold_boundary, measure};
@@ -59,7 +60,7 @@ fn run_point(cfg: CffsConfig, p: &NameiParams) -> RunOut {
     let mut fs = build::on_disk(disk_for(p), cfg);
     let label = fs.label().to_string();
     let obs = FileSystem::obs(&fs);
-    let _feed = obs.as_ref().and_then(|o| cffs_obs::feed::tap_global_sim(o, &label));
+    let _feed = obs.as_ref().and_then(|o| tap_global(o, &label, Cadence::Sim));
 
     let mut rows = Vec::new();
     let total = p.total_files() + p.total_dirs();

@@ -11,6 +11,7 @@ use crate::report::{header, phase_table, rows_json, speedup};
 use cffs::build;
 use cffs_fslib::MetadataMode;
 use cffs_obs::json::{Json, ToJson};
+use cffs_obs::telemetry::{tap_global, Cadence};
 use cffs_obs::{obj, prof, SpanRecord};
 use cffs_workloads::smallfile::{self, SmallFileParams};
 use cffs_workloads::PhaseResult;
@@ -36,7 +37,7 @@ pub fn run_all_with_folds(
         let obs = fs.obs();
         // Stream this file system's run into the telemetry feed when the
         // repro binary set one up with --feed (no-op otherwise).
-        let _feed = obs.as_ref().and_then(|o| cffs_obs::feed::tap_global_sim(o, fs.label()));
+        let _feed = obs.as_ref().and_then(|o| tap_global(o, fs.label(), Cadence::Sim));
         let want_fold = fs.label() == "C-FFS";
         if want_fold {
             if let Some(o) = &obs {

@@ -20,6 +20,7 @@ use cffs_disksim::{models, Disk};
 use cffs_fslib::{ConcurrentFs, MetadataMode};
 use cffs_obs::json::{Json, ToJson};
 use cffs_obs::obj;
+use cffs_obs::telemetry::{tap_global, Cadence};
 use cffs_regroup::RegroupConfig;
 use cffs_volume::{VolumeCfg, VolumeSet};
 use cffs_workloads::multiclient::{self, MulticlientParams};
@@ -62,17 +63,12 @@ fn point(nvols: usize, p: &MulticlientParams) -> Point {
     let start_ns = set_obs.global_clock_ns();
     let host_t0 = std::time::Instant::now();
 
-    // Telemetry: a manual-cadence tap carrying the per-volume registries,
-    // so every frame has a `volumes` row set (ops, queue depth, group-
-    // fetch utilization per spindle). Frames are cut at the quiescent
-    // phase barriers; the populate hook also drops every volume's caches
-    // so the sessions window starts cold.
-    let feed = cffs_obs::feed::tap_global_volumes(
-        &set_obs,
-        &vs.vol_obs(),
-        &format!("volume-{nvols}v"),
-        cffs_obs::feed::Cadence::Manual,
-    );
+    // Telemetry: a manual-cadence tap on the set registry, whose member
+    // volumes give every frame a `volumes` row set (ops, queue depth,
+    // group-fetch utilization per spindle). Frames are cut at the
+    // quiescent phase barriers; the populate hook also drops every
+    // volume's caches so the sessions window starts cold.
+    let feed = tap_global(&set_obs, &format!("volume-{nvols}v"), Cadence::Manual);
     let r = multiclient::run_with_phase_hook(&vs, p, |phase| {
         if phase == "populate" {
             vs.drop_caches_all().expect("drop caches");

@@ -92,7 +92,7 @@ pub fn emit_artifact(name: &str, content: &str) {
             // Salvage the run's telemetry before dying: the flight
             // recorders (if `--flight` armed any) hold the final frames
             // this exit would otherwise lose. No-op when none are armed.
-            cffs_obs::flight::dump_all("bench_write_failure");
+            cffs_obs::telemetry::dump_all("bench_write_failure");
             std::process::exit(1);
         }
     }
@@ -113,7 +113,7 @@ pub fn emit_bench(name: &str, payload: Json) {
             );
             // Same salvage as emit_artifact: flush the black boxes so
             // the partial run's telemetry survives the hard exit.
-            cffs_obs::flight::dump_all("bench_write_failure");
+            cffs_obs::telemetry::dump_all("bench_write_failure");
             std::process::exit(1);
         }
     }

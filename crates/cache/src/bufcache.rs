@@ -95,7 +95,10 @@ struct CacheCore {
     bufs: Vec<Option<Buf>>,
     free_slots: Vec<usize>,
     phys: HashMap<u64, usize>,
-    /// Lazy min-heap of (stamp, slot) for LRU eviction.
+    /// Lazy min-heap of (stamp, slot) for LRU eviction: every touch
+    /// pushes, stale entries are skipped on pop, and [`CacheCore::touch`]
+    /// rebuilds the heap from the live buffers once it exceeds twice the
+    /// shard's capacity, so hits without evictions cannot grow it.
     lru: BinaryHeap<Reverse<(u64, usize)>>,
     tick: u64,
     /// Lookups resolved against this shard since it was last emptied,
@@ -209,6 +212,17 @@ impl CacheCore {
         if let Some(b) = &mut self.bufs[slot] {
             b.stamp = self.tick;
             self.lru.push(Reverse((self.tick, slot)));
+        }
+        // Every live buffer's current (stamp, slot) is in the heap (each
+        // install touches) and stamps are unique, so keeping only those
+        // entries leaves the eviction order unchanged.
+        if self.lru.len() > 2 * self.nbufs {
+            self.lru = self
+                .bufs
+                .iter()
+                .enumerate()
+                .filter_map(|(slot, b)| b.as_ref().map(|b| Reverse((b.stamp, slot))))
+                .collect();
         }
     }
 
@@ -1006,6 +1020,28 @@ mod tests {
         assert!(back.iter().all(|&b| b == 0xEE));
         assert_eq!(c.obs().get(Ctr::CacheEvictions), 1);
         assert_eq!(c.obs().get(Ctr::CacheWritebacks), 1);
+    }
+
+    #[test]
+    fn lru_heap_stays_bounded_under_hits() {
+        let drv = driver();
+        let c = small_cache(); // 8 buffers, one shard
+        for blk in 0..8 {
+            let _ = c.read_block(&drv, blk).unwrap();
+        }
+        // A resident working set hit over and over never evicts, so only
+        // the rebuild keeps stale heap entries from piling up.
+        for round in 0..1000u64 {
+            let _ = c.read_block(&drv, round % 8).unwrap();
+            let core = c.lock_shard(0);
+            assert!(core.lru.len() <= 2 * core.nbufs, "heap grew to {}", core.lru.len());
+        }
+        assert_eq!(c.obs().get(Ctr::CacheEvictions), 0);
+        // LRU order survived the rebuilds: the last round hit blocks 0..8
+        // in order, so the next miss evicts block 0 and only block 0.
+        let _ = c.read_block(&drv, 100).unwrap();
+        assert!(!c.contains(0));
+        assert!((1..8).all(|blk| c.contains(blk)));
     }
 
     #[test]

@@ -282,9 +282,10 @@ pub struct Cffs {
     op_stripes: Vec<Mutex<()>>,
     cfg: CffsConfig,
     /// Armed flight recorder for this mount (`None` unless the process
-    /// opted in via `cffs_obs::flight::set_global`, i.e. `--flight`).
-    /// Held so unmount cuts a final frame and detaches the pacer.
-    _flight: Option<cffs_obs::flight::FlightGuard>,
+    /// opted in via `cffs_obs::telemetry::set_global_flight`, i.e.
+    /// `--flight`). Held so unmount cuts a final frame and detaches the
+    /// pacer.
+    _flight: Option<cffs_obs::telemetry::FlightGuard>,
 }
 
 impl std::fmt::Debug for Cffs {
@@ -348,7 +349,7 @@ impl Cffs {
         // histograms, so arming costs the hot path nothing) and the
         // forensic black box (no-op without a `--flight` opt-in).
         obs.arm_default_slos();
-        let flight = cffs_obs::flight::arm_global(&obs, &cfg.label);
+        let flight = cffs_obs::telemetry::arm_global(&obs, &cfg.label);
         let obs_for_dcache = obs.clone();
         let fs = Cffs {
             drv,

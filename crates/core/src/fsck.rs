@@ -75,8 +75,8 @@ fn write_block(disk: &mut Disk, blk: u64, data: &[u8]) {
 pub fn fsck(disk: &mut Disk, repair: bool) -> FsResult<FsckReport> {
     let res = fsck_inner(disk, repair);
     match &res {
-        Ok(report) if !report.clean() => cffs_obs::flight::dump_all("fsck_failure"),
-        Err(_) => cffs_obs::flight::dump_all("fsck_failure"),
+        Ok(report) if !report.clean() => cffs_obs::telemetry::dump_all("fsck_failure"),
+        Err(_) => cffs_obs::telemetry::dump_all("fsck_failure"),
         Ok(_) => {}
     }
     res

@@ -1,486 +1,17 @@
-//! Flight recorder — the always-on forensic black box.
+//! Flight-recorder dumps, read back — the consumer half of the black
+//! box whose producer lives in [`crate::telemetry`].
 //!
-//! A [`Flight`] keeps a bounded in-memory window of recent telemetry for
-//! one observed stack — cumulative-counter frames, closed op spans, and
-//! `signal.*`/`regroup.*` events, all harvested from the registries the
-//! stack already maintains — and persists the window atomically to
-//! `FLIGHT_<name>.jsonl` at every frame cut. A run killed at an
-//! arbitrary instant therefore always leaves a complete, schema-valid
-//! dump of its final seconds on disk; explicit dumps (the panic hook,
-//! fsck failures, [`Obs::dump_flight`]) cut a fresh frame first, so the
-//! dump's last frame always equals the head's final counter snapshot.
-//!
-//! Pacing rides [`Obs::set_clock_ns`] exactly like the telemetry feed:
-//! with no recorder armed the hot path pays one relaxed load
-//! (`flight_due_ns == u64::MAX`). Spans and events are *not* collected
-//! on their own hot paths — they are lifted out of the existing trace
-//! ring at each cut via the [`Obs::events_since`] watermark, so arming a
-//! recorder adds no per-op cost.
-//!
-//! Frames carry **cumulative** counter values (not deltas): the ring
-//! overwrites oldest frames, and cumulative values keep every retained
-//! frame independently meaningful — the postmortem analyzer re-derives
-//! window deltas from the first and last retained frames.
+//! A `FLIGHT_<name>.jsonl` dump is a `head` record followed by the
+//! ring's retained `frame`, `span` and `event` records. Frames carry
+//! **cumulative** values: the ring overwrites its oldest frames, and
+//! cumulative values keep every retained frame independently meaningful
+//! — [`postmortem`] derives window deltas from the first and last
+//! retained frames.
 
-use std::collections::VecDeque;
-use std::io::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, Once, Weak};
-
-use crate::feed::FRAME_COUNTERS;
 use crate::json::Json;
-use crate::{obj, Ctr, Obs, Sig};
-
-/// Frames retained in a flight ring (at the default 50 ms sim cadence:
-/// the last ~3 simulated seconds).
-pub const FLIGHT_FRAMES: usize = 64;
-
-/// Closed op spans retained in a flight ring.
-pub const FLIGHT_SPANS: usize = 256;
-
-/// `signal.*` / `regroup.*` events retained in a flight ring.
-pub const FLIGHT_EVENTS: usize = 256;
-
-/// Record types of a `FLIGHT_*.jsonl` dump, with one-line descriptions —
-/// the glossary README documents and `tests/doc_drift.rs` cross-checks.
-pub const FLIGHT_RECORDS: &[(&str, &str)] = &[
-    ("head", "dump header: name, capture reason, final counter snapshot, SLO table"),
-    ("frame", "one periodic cut: cumulative counters, gauges, signals, per-CG registers"),
-    ("span", "one closed op span lifted from the trace ring (op, open time, latency)"),
-    ("event", "one signal.* or regroup.* trace event retained in the capture window"),
-];
-
-/// Fields of a flight `frame` record, with one-line descriptions.
-pub const FLIGHT_FRAME_FIELDS: &[(&str, &str)] = &[
-    ("rec", "record discriminator: head, frame, span, or event"),
-    ("t_ns", "simulated time the frame was cut, nanoseconds"),
-    ("counters", "cumulative curated counter values at the cut (not deltas)"),
-    ("ops", "cumulative outermost file-system ops completed at the cut"),
-    ("queue_depth", "submissions waiting in the threaded driver queue at the cut"),
-    ("signals", "live signal registry at the cut: EWMAs, thresholds, crossing counts"),
-    ("cgs", "per-cylinder-group occupancy, utilization EWMA, and cumulative I/O tallies"),
-    ("slo_burn_milli", "worst per-op SLO error-budget burn at the cut, milli-units"),
-    ("volumes", "per-volume cumulative rows (vol, ops, dreads, dwrites, queue_depth)"),
-];
-
-/// Staging-name disambiguator (same discipline as the bench artifacts).
-static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// One armed recorder: a bounded window of recent telemetry for one
-/// observed stack, persisted to `FLIGHT_<name>.jsonl` on every cut.
-pub struct Flight {
-    path: std::path::PathBuf,
-    name: String,
-    obs: Arc<Obs>,
-    /// Per-volume registries of a volume-set producer, in volume order
-    /// (empty for single-volume stacks). Their spans/events are merged
-    /// into this ring tagged with the volume index.
-    vols: Vec<Arc<Obs>>,
-    interval_ns: u64,
-    state: Mutex<FlightState>,
-}
-
-struct FlightState {
-    frames: VecDeque<Json>,
-    spans: VecDeque<Json>,
-    events: VecDeque<Json>,
-    /// Trace-ring watermarks: `marks[0]` for the primary registry,
-    /// `marks[1 + i]` for volume `i`.
-    marks: Vec<u64>,
-    due_ns: u64,
-    /// Reason recorded in the head of the most recent persist.
-    reason: String,
-    /// Set after the first failed write so the warning prints once.
-    write_failed: bool,
-}
-
-/// Recover a possibly-poisoned flight lock: the recorder must stay
-/// usable from a panic hook, where ordinary `.expect()` would abort the
-/// process with a double panic.
-fn lock_flight(m: &Mutex<FlightState>) -> MutexGuard<'_, FlightState> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// `FLIGHT_<name>.jsonl` file name for a stack label (non-portable
-/// characters mapped to `_`).
-pub fn flight_file_name(name: &str) -> String {
-    let safe: String = name
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
-        .collect();
-    format!("FLIGHT_{safe}.jsonl")
-}
-
-impl Flight {
-    /// Where this recorder persists its dumps.
-    pub fn path(&self) -> &std::path::Path {
-        &self.path
-    }
-
-    /// Harvest fresh trace events from one registry into the span/event
-    /// rings, tagging rows with `vol` (`Null` for the primary).
-    fn harvest(st: &mut FlightState, mark_idx: usize, obs: &Obs, vol: Json) {
-        let mark = st.marks.get(mark_idx).copied().unwrap_or(0);
-        let (fresh, new_mark) = obs.events_since(mark);
-        st.marks[mark_idx] = new_mark;
-        for e in fresh {
-            if e.tag.starts_with("op.") && e.span != 0 {
-                st.spans.push_back(obj![
-                    ("rec", Json::Str("span".into())),
-                    ("vol", vol.clone()),
-                    ("t_ns", Json::Int(e.t_ns as i64)),
-                    ("op", Json::Str(e.op.to_string())),
-                    ("span", Json::Int(e.span as i64)),
-                    ("dur_ns", Json::Int(e.dur_ns as i64)),
-                ]);
-                while st.spans.len() > FLIGHT_SPANS {
-                    st.spans.pop_front();
-                }
-            } else if e.tag.starts_with("signal.") || e.tag.starts_with("regroup.") {
-                st.events.push_back(obj![
-                    ("rec", Json::Str("event".into())),
-                    ("vol", vol.clone()),
-                    ("t_ns", Json::Int(e.t_ns as i64)),
-                    ("tag", Json::Str(e.tag.to_string())),
-                    ("a", Json::Int(e.a as i64)),
-                    ("b", Json::Int(e.b as i64)),
-                ]);
-                while st.events.len() > FLIGHT_EVENTS {
-                    st.events.pop_front();
-                }
-            }
-        }
-    }
-
-    /// Cut one frame at simulated time `t_ns`: harvest spans/events from
-    /// every registry, append a cumulative-counter frame, and persist.
-    fn cut(&self, t_ns: u64, reason: &str) {
-        let mut st = lock_flight(&self.state);
-        Flight::harvest(&mut st, 0, &self.obs, Json::Null);
-        for (i, v) in self.vols.iter().enumerate() {
-            Flight::harvest(&mut st, 1 + i, v, Json::Int(i as i64));
-        }
-        let counters = Json::Obj(
-            FRAME_COUNTERS
-                .iter()
-                .map(|&c| (c.name().to_string(), Json::Int(self.obs.get(c) as i64)))
-                .collect(),
-        );
-        let cgs = Json::Arr(
-            self.obs
-                .cg_stats()
-                .iter()
-                .map(|c| {
-                    obj![
-                        ("cg", Json::Int(c.cg as i64)),
-                        ("data_blocks", Json::Int(c.data_blocks as i64)),
-                        ("used", Json::Int(c.used as i64)),
-                        ("util_ewma_milli", Json::Int(c.util_ewma_milli as i64)),
-                        ("util_samples", Json::Int(c.util_samples as i64)),
-                        ("read_ios", Json::Int(c.read_ios as i64)),
-                        ("write_ios", Json::Int(c.write_ios as i64)),
-                    ]
-                })
-                .collect(),
-        );
-        let volumes = Json::Arr(
-            self.vols
-                .iter()
-                .enumerate()
-                .map(|(i, v)| {
-                    obj![
-                        ("vol", Json::Int(i as i64)),
-                        ("ops", Json::Int(v.thread_ops().iter().sum::<u64>() as i64)),
-                        ("dreads", Json::Int(v.get(Ctr::DiskReads) as i64)),
-                        ("dwrites", Json::Int(v.get(Ctr::DiskWrites) as i64)),
-                        ("queue_depth", Json::Int(v.queue_depth() as i64)),
-                    ]
-                })
-                .collect(),
-        );
-        let ops: u64 = self.obs.thread_ops().iter().sum();
-        st.frames.push_back(obj![
-            ("rec", Json::Str("frame".into())),
-            ("t_ns", Json::Int(t_ns as i64)),
-            ("counters", counters),
-            ("ops", Json::Int(ops as i64)),
-            ("queue_depth", Json::Int(self.obs.queue_depth() as i64)),
-            ("signals", self.obs.signals_json()),
-            ("cgs", cgs),
-            ("slo_burn_milli", Json::Int(self.obs.slo_burn_milli() as i64)),
-            ("volumes", volumes),
-        ]);
-        while st.frames.len() > FLIGHT_FRAMES {
-            st.frames.pop_front();
-        }
-        st.reason = reason.to_string();
-        self.persist_locked(&mut st, t_ns);
-    }
-
-    /// Atomically rewrite the dump file from the current window. Write
-    /// failures warn once and drop dumps rather than killing the run —
-    /// the black box must never fail the flight it records.
-    fn persist_locked(&self, st: &mut FlightState, t_ns: u64) {
-        let head = obj![
-            ("rec", Json::Str("head".into())),
-            ("name", Json::Str(self.name.clone())),
-            ("reason", Json::Str(st.reason.clone())),
-            ("t_ns", Json::Int(t_ns as i64)),
-            ("interval_ns", Json::Int(self.interval_ns as i64)),
-            (
-                "counters_final",
-                Json::Obj(
-                    Ctr::ALL
-                        .iter()
-                        .map(|&c| (c.name().to_string(), Json::Int(self.obs.get(c) as i64)))
-                        .collect()
-                )
-            ),
-            ("slo", self.obs.slo_json()),
-            ("nframes", Json::Int(st.frames.len() as i64)),
-            ("nspans", Json::Int(st.spans.len() as i64)),
-            ("nevents", Json::Int(st.events.len() as i64)),
-        ];
-        let mut text = head.to_string();
-        text.push('\n');
-        for row in st.frames.iter().chain(st.spans.iter()).chain(st.events.iter()) {
-            text.push_str(&row.to_string());
-            text.push('\n');
-        }
-        let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
-        let tmp = self
-            .path
-            .with_extension(format!("{}.{}.tmp", std::process::id(), seq));
-        let res = std::fs::File::create(&tmp)
-            .and_then(|mut f| f.write_all(text.as_bytes()))
-            .and_then(|()| std::fs::rename(&tmp, &self.path));
-        if let Err(e) = res {
-            if !st.write_failed {
-                st.write_failed = true;
-                eprintln!(
-                    "warning: flight recorder write to {} failed: {e}",
-                    self.path.display()
-                );
-            }
-        }
-    }
-
-    /// Simulated-clock pacer entry (via [`sim_fire`]): rechecks under the
-    /// flight lock so concurrent clock movers cut exactly one frame per
-    /// crossing.
-    pub(crate) fn sim_tick(&self, now_ns: u64) {
-        {
-            let mut st = lock_flight(&self.state);
-            if now_ns < st.due_ns {
-                return;
-            }
-            st.due_ns = (now_ns / self.interval_ns + 1) * self.interval_ns;
-            self.obs.flight_due_ns.store(st.due_ns, Ordering::Relaxed);
-        }
-        self.cut(now_ns, "periodic");
-    }
-
-    /// Cut a frame and persist with an explicit reason (panic, fsck
-    /// failure, operator request). Harvesting touches the registry locks,
-    /// which may be poisoned mid-panic — any such failure falls back to
-    /// persisting the window already captured.
-    pub fn dump(&self, reason: &str) {
-        let t = self.obs.global_clock_ns();
-        let this = std::panic::AssertUnwindSafe(self);
-        let r = std::panic::catch_unwind(move || this.cut(t, reason));
-        if r.is_err() {
-            let mut st = lock_flight(&self.state);
-            st.reason = reason.to_string();
-            self.persist_locked(&mut st, t);
-        }
-    }
-}
-
-/// Guard returned by [`arm`]. Dropping it cuts one final frame (reason
-/// `"detach"`), persists, and detaches the pacer.
-pub struct FlightGuard {
-    flight: Arc<Flight>,
-}
-
-impl FlightGuard {
-    /// The armed recorder (for explicit [`Flight::dump`] calls).
-    pub fn flight(&self) -> &Arc<Flight> {
-        &self.flight
-    }
-}
-
-impl Drop for FlightGuard {
-    fn drop(&mut self) {
-        let obs = &self.flight.obs;
-        obs.flight_due_ns.store(u64::MAX, Ordering::Relaxed);
-        if let Ok(mut slot) = obs.flight_slot.lock() {
-            *slot = None;
-        }
-        self.flight.dump("detach");
-    }
-}
-
-/// Arm a flight recorder on `obs` (with optional per-volume registries),
-/// persisting to `FLIGHT_<name>.jsonl` under `dir` at the feed's default
-/// simulated cadence. The recorder registers itself for [`dump_all`].
-pub fn arm(
-    dir: impl Into<std::path::PathBuf>,
-    obs: &Arc<Obs>,
-    vols: &[Arc<Obs>],
-    name: &str,
-) -> FlightGuard {
-    let interval_ns = crate::feed::SIM_INTERVAL_DEFAULT_NS;
-    let dir = dir.into();
-    let flight = Arc::new(Flight {
-        path: dir.join(flight_file_name(name)),
-        name: name.to_string(),
-        obs: Arc::clone(obs),
-        vols: vols.to_vec(),
-        interval_ns,
-        state: Mutex::new(FlightState {
-            frames: VecDeque::new(),
-            spans: VecDeque::new(),
-            events: VecDeque::new(),
-            marks: std::iter::once(obs.events_recorded())
-                .chain(vols.iter().map(|v| v.events_recorded()))
-                .collect(),
-            due_ns: u64::MAX,
-            reason: "armed".to_string(),
-            write_failed: false,
-        }),
-    });
-    let now = obs.global_clock_ns();
-    let due = (now / interval_ns + 1) * interval_ns;
-    lock_flight(&flight.state).due_ns = due;
-    *obs.flight_slot.lock().expect("flight slot poisoned") = Some(Arc::downgrade(&flight));
-    obs.flight_due_ns.store(due, Ordering::Relaxed);
-    let mut reg = REGISTRY.lock().expect("flight registry poisoned");
-    reg.retain(|w| w.strong_count() > 0);
-    reg.push(Arc::downgrade(&flight));
-    // Persist the (empty-window) dump immediately so even a run killed
-    // before the first cadence boundary leaves a parseable black box.
-    flight.cut(now, "armed");
-    FlightGuard { flight }
-}
-
-/// Dispatch a simulated-clock crossing from [`Obs::set_clock_ns`] to the
-/// armed recorder (resetting the pacer when the recorder is gone).
-pub(crate) fn sim_fire(obs: &Obs, now_ns: u64) {
-    let flight = obs
-        .flight_slot
-        .lock()
-        .expect("flight slot poisoned")
-        .as_ref()
-        .and_then(Weak::upgrade);
-    match flight {
-        Some(f) => f.sim_tick(now_ns),
-        None => obs.flight_due_ns.store(u64::MAX, Ordering::Relaxed),
-    }
-}
-
-/// Every recorder armed in this process (weak: guards own the strong
-/// refs), so the panic hook and fsck failures can dump them all.
-static REGISTRY: Mutex<Vec<Weak<Flight>>> = Mutex::new(Vec::new());
-
-/// Process-wide output directory set by the repro binaries' `--flight`
-/// flag; [`arm_global`] is a no-op until this is set.
-static GLOBAL_DIR: Mutex<Option<std::path::PathBuf>> = Mutex::new(None);
-
-static PANIC_HOOK: Once = Once::new();
-
-/// Enable the process-global flight recorder: dumps land under `dir`
-/// (created if missing) and the panic hook is installed so an unwinding
-/// run flushes every armed recorder before dying.
-pub fn set_global(dir: impl Into<std::path::PathBuf>) -> std::io::Result<std::path::PathBuf> {
-    let dir = dir.into();
-    std::fs::create_dir_all(&dir)?;
-    *GLOBAL_DIR.lock().expect("flight dir poisoned") = Some(dir.clone());
-    install_panic_hook();
-    Ok(dir)
-}
-
-/// The process-global flight directory, if `--flight` set one.
-pub fn global_dir() -> Option<std::path::PathBuf> {
-    GLOBAL_DIR.lock().expect("flight dir poisoned").clone()
-}
-
-/// First name in `name`, `name-2`, `name-3`, ... whose dump file under
-/// `dir` is not already owned by a live recorder — the volumes of a set
-/// share one mount label, and their black boxes must not overwrite each
-/// other.
-fn unique_name(dir: &std::path::Path, name: &str) -> String {
-    let live: Vec<std::path::PathBuf> = {
-        let reg = match REGISTRY.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        reg.iter().filter_map(Weak::upgrade).map(|f| f.path.clone()).collect()
-    };
-    let taken = |cand: &str| live.contains(&dir.join(flight_file_name(cand)));
-    if !taken(name) {
-        return name.to_string();
-    }
-    (2..)
-        .map(|n| format!("{name}-{n}"))
-        .find(|cand| !taken(cand))
-        .expect("unbounded suffix search")
-}
-
-/// Arm a recorder on `obs` under the global directory (no-op `None` when
-/// `--flight` was not given — the hot path then keeps its single relaxed
-/// load and mounts stay untouched).
-pub fn arm_global(obs: &Arc<Obs>, name: &str) -> Option<FlightGuard> {
-    global_dir().map(|dir| {
-        let name = unique_name(&dir, name);
-        arm(dir, obs, &[], &name)
-    })
-}
-
-/// [`arm_global`] for a volume-set producer: per-volume spans/events are
-/// merged into the one ring tagged with their volume index.
-pub fn arm_global_volumes(
-    obs: &Arc<Obs>,
-    vols: &[Arc<Obs>],
-    name: &str,
-) -> Option<FlightGuard> {
-    global_dir().map(|dir| {
-        let name = unique_name(&dir, name);
-        arm(dir, obs, vols, &name)
-    })
-}
-
-/// Flush every armed recorder with the given reason. Called by the panic
-/// hook, by fsck on an inconsistent image, and by the bench reporters
-/// before an `exit(1)`. Cheap no-op when nothing is armed.
-pub fn dump_all(reason: &str) {
-    let flights: Vec<Arc<Flight>> = {
-        let reg = match REGISTRY.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        reg.iter().filter_map(Weak::upgrade).collect()
-    };
-    for f in flights {
-        f.dump(reason);
-    }
-}
-
-/// Install (once) a panic hook that flushes every armed recorder before
-/// delegating to the previous hook. Idempotent.
-pub fn install_panic_hook() {
-    PANIC_HOOK.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            dump_all("panic");
-            prev(info);
-        }));
-    });
-}
-
-// ---- parsing, validation, postmortem ----
+use crate::obj;
+use crate::telemetry::{validate_record, FRAME_COUNTERS};
+use crate::Sig;
 
 /// A parsed `FLIGHT_*.jsonl` dump.
 #[derive(Debug, Clone)]
@@ -504,31 +35,14 @@ pub fn parse_flight(text: &str) -> Result<FlightDump, String> {
         }
         let ln = i + 1;
         let j = crate::json::parse(line).map_err(|e| format!("flight line {ln}: {e:?}"))?;
-        let rec = j
-            .get("rec")
-            .and_then(Json::as_str)
-            .ok_or(format!("flight line {ln}: record lacks string \"rec\""))?;
+        let rec = validate_record(&j).map_err(|e| format!("flight line {ln}: {e}"))?;
         match rec {
-            "head" => {
-                if head.is_some() || !frames.is_empty() {
-                    return Err(format!("flight line {ln}: head must be the first record"));
-                }
-                validate_head(&j).map_err(|e| format!("flight line {ln}: {e}"))?;
-                head = Some(j);
-            }
-            "frame" => {
-                validate_flight_frame(&j).map_err(|e| format!("flight line {ln}: {e}"))?;
-                frames.push(j);
-            }
-            "span" => {
-                validate_span(&j).map_err(|e| format!("flight line {ln}: {e}"))?;
-                spans.push(j);
-            }
-            "event" => {
-                validate_event(&j).map_err(|e| format!("flight line {ln}: {e}"))?;
-                events.push(j);
-            }
-            other => return Err(format!("flight line {ln}: unknown record type {other:?}")),
+            "head" if head.is_none() && frames.is_empty() => head = Some(j),
+            "head" => return Err(format!("flight line {ln}: head must be the first record")),
+            "frame" => frames.push(j),
+            "span" => spans.push(j),
+            "event" => events.push(j),
+            other => return Err(format!("flight line {ln}: {other:?} record in a flight dump")),
         }
     }
     let head = head.ok_or("flight dump lacks a head record")?;
@@ -536,103 +50,6 @@ pub fn parse_flight(text: &str) -> Result<FlightDump, String> {
         return Err("flight dump has no frames".to_string());
     }
     Ok(FlightDump { head, frames, spans, events })
-}
-
-fn validate_head(j: &Json) -> Result<(), String> {
-    for k in ["name", "reason"] {
-        j.get(k)
-            .and_then(Json::as_str)
-            .ok_or(format!("head lacks string {k:?}"))?;
-    }
-    for k in ["t_ns", "interval_ns", "nframes", "nspans", "nevents"] {
-        j.get(k)
-            .and_then(Json::as_u64)
-            .ok_or(format!("head lacks u64 {k:?}"))?;
-    }
-    let fin = j.get("counters_final").ok_or("head lacks \"counters_final\"")?;
-    for c in Ctr::ALL {
-        fin.get(c.name())
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("counters_final lacks u64 {:?}", c.name()))?;
-    }
-    j.get("slo").ok_or("head lacks \"slo\"")?;
-    Ok(())
-}
-
-fn validate_flight_frame(j: &Json) -> Result<(), String> {
-    for k in ["t_ns", "ops", "queue_depth", "slo_burn_milli"] {
-        j.get(k)
-            .and_then(Json::as_u64)
-            .ok_or(format!("frame lacks u64 {k:?}"))?;
-    }
-    let counters = j.get("counters").ok_or("frame lacks \"counters\"")?;
-    for &c in FRAME_COUNTERS {
-        counters
-            .get(c.name())
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("frame counters lack u64 {:?}", c.name()))?;
-    }
-    let signals = j.get("signals").ok_or("frame lacks \"signals\"")?;
-    for sig in Sig::ALL {
-        signals
-            .get(sig.name())
-            .ok_or_else(|| format!("frame signals lack {:?}", sig.name()))?;
-    }
-    let Some(Json::Arr(cgs)) = j.get("cgs") else {
-        return Err("frame lacks array \"cgs\"".to_string());
-    };
-    for c in cgs {
-        for k in ["cg", "used", "util_ewma_milli", "read_ios", "write_ios"] {
-            c.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("frame cg row lacks u64 {k:?}"))?;
-        }
-    }
-    let Some(Json::Arr(vols)) = j.get("volumes") else {
-        return Err("frame lacks array \"volumes\"".to_string());
-    };
-    for v in vols {
-        for k in ["vol", "ops", "dreads", "dwrites", "queue_depth"] {
-            v.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("frame volume row lacks u64 {k:?}"))?;
-        }
-    }
-    Ok(())
-}
-
-fn vol_tag_ok(j: &Json) -> Result<(), String> {
-    match j.get("vol") {
-        Some(Json::Null) | Some(Json::Int(_)) => Ok(()),
-        _ => Err("record lacks null-or-int \"vol\"".to_string()),
-    }
-}
-
-fn validate_span(j: &Json) -> Result<(), String> {
-    vol_tag_ok(j)?;
-    j.get("op")
-        .and_then(Json::as_str)
-        .filter(|s| !s.is_empty())
-        .ok_or("span lacks non-empty string \"op\"")?;
-    for k in ["t_ns", "span", "dur_ns"] {
-        j.get(k)
-            .and_then(Json::as_u64)
-            .ok_or(format!("span lacks u64 {k:?}"))?;
-    }
-    Ok(())
-}
-
-fn validate_event(j: &Json) -> Result<(), String> {
-    vol_tag_ok(j)?;
-    j.get("tag")
-        .and_then(Json::as_str)
-        .ok_or("event lacks string \"tag\"")?;
-    for k in ["t_ns", "a", "b"] {
-        j.get(k)
-            .and_then(Json::as_u64)
-            .ok_or(format!("event lacks u64 {k:?}"))?;
-    }
-    Ok(())
 }
 
 /// Correlate a parsed dump into a structured postmortem report: the
@@ -876,182 +293,4 @@ pub fn render_postmortem(report: &Json) -> String {
         }
     }
     out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::OpKind;
-
-    fn tmp_dir(tag: &str) -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!("cffs-flight-{tag}-{}", std::process::id()));
-        std::fs::create_dir_all(&d).unwrap();
-        d
-    }
-
-    /// Armed recorders live in the process-global [`REGISTRY`], so a
-    /// concurrent test's [`dump_all`] would overwrite this test's dump
-    /// (and its head reason) mid-assertion — serialize every test that
-    /// arms one.
-    static SERIAL: Mutex<()> = Mutex::new(());
-
-    fn serial() -> MutexGuard<'static, ()> {
-        match SERIAL.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    #[test]
-    fn armed_flight_persists_parseable_dump_every_cut() {
-        let _s = serial();
-        let dir = tmp_dir("basic");
-        let obs = Obs::new();
-        let path;
-        {
-            let guard = arm(&dir, &obs, &[], "unit basic");
-            path = guard.flight().path().to_path_buf();
-            // The arm-time dump exists before any clock movement.
-            let dump = parse_flight(&std::fs::read_to_string(&path).unwrap()).unwrap();
-            assert_eq!(dump.head.get("reason").and_then(Json::as_str), Some("armed"));
-            obs.bump(Ctr::DiskRequests);
-            {
-                let _g = obs.span(OpKind::Create);
-            }
-            obs.set_clock_ns(60_000_000); // crosses the 50 ms boundary
-            let dump = parse_flight(&std::fs::read_to_string(&path).unwrap()).unwrap();
-            assert_eq!(dump.head.get("reason").and_then(Json::as_str), Some("periodic"));
-            assert_eq!(dump.frames.len(), 2);
-            // Cumulative counters: the bump shows in the last frame.
-            let last = dump.frames.last().unwrap();
-            assert_eq!(
-                last.get("counters").and_then(|c| c.get("disk_requests")).and_then(Json::as_u64),
-                Some(1)
-            );
-            // The span was harvested from the trace ring.
-            assert_eq!(dump.spans.len(), 1);
-            assert_eq!(dump.spans[0].get("op").and_then(Json::as_str), Some("create"));
-        }
-        // Guard drop cut a final "detach" dump and disarmed the pacer.
-        let dump = parse_flight(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(dump.head.get("reason").and_then(Json::as_str), Some("detach"));
-        obs.set_clock_ns(500_000_000);
-        let dump2 = parse_flight(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(dump2.frames.len(), dump.frames.len(), "no cuts after detach");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn explicit_dump_last_frame_matches_final_counters() {
-        let _s = serial();
-        let dir = tmp_dir("explicit");
-        let obs = Obs::new();
-        let guard = arm(&dir, &obs, &[], "unit-explicit");
-        obs.add(Ctr::DiskReads, 17);
-        obs.add(Ctr::CacheWritebacks, 3);
-        guard.flight().dump("operator");
-        let text = std::fs::read_to_string(guard.flight().path()).unwrap();
-        let dump = parse_flight(&text).unwrap();
-        assert_eq!(dump.head.get("reason").and_then(Json::as_str), Some("operator"));
-        let report = postmortem(&dump);
-        assert_eq!(report.get("consistent"), Some(&Json::Bool(true)));
-        let last = dump.frames.last().unwrap();
-        assert_eq!(
-            last.get("counters").and_then(|c| c.get("disk_reads")).and_then(Json::as_u64),
-            Some(17)
-        );
-        assert_eq!(
-            dump.head
-                .get("counters_final")
-                .and_then(|c| c.get("disk_reads"))
-                .and_then(Json::as_u64),
-            Some(17)
-        );
-        let text = render_postmortem(&report);
-        assert!(text.contains("internally consistent"), "{text}");
-        drop(guard);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn volume_rows_and_tags_are_merged() {
-        let _s = serial();
-        let dir = tmp_dir("vols");
-        let set = Obs::new();
-        let vols = vec![Obs::new(), Obs::new()];
-        let guard = arm(&dir, &set, &vols, "unit-vols");
-        vols[1].add(Ctr::DiskWrites, 5);
-        {
-            let _g = vols[1].span(OpKind::Write);
-        }
-        guard.flight().dump("check");
-        let dump = parse_flight(&std::fs::read_to_string(guard.flight().path()).unwrap()).unwrap();
-        let last = dump.frames.last().unwrap();
-        let Some(Json::Arr(volumes)) = last.get("volumes") else { panic!("volumes") };
-        assert_eq!(volumes.len(), 2);
-        assert_eq!(volumes[1].get("dwrites").and_then(Json::as_u64), Some(5));
-        // The volume-1 span carries its volume tag.
-        let span = dump.spans.iter().find(|s| s.get("op").and_then(Json::as_str) == Some("write"));
-        assert_eq!(span.unwrap().get("vol").and_then(Json::as_u64), Some(1));
-        drop(guard);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn dump_all_reaches_every_armed_flight() {
-        let _s = serial();
-        let dir = tmp_dir("all");
-        let a = Obs::new();
-        let b = Obs::new();
-        let ga = arm(&dir, &a, &[], "unit-all-a");
-        let gb = arm(&dir, &b, &[], "unit-all-b");
-        dump_all("fsck_failure");
-        for g in [&ga, &gb] {
-            let dump = parse_flight(&std::fs::read_to_string(g.flight().path()).unwrap()).unwrap();
-            assert_eq!(dump.head.get("reason").and_then(Json::as_str), Some("fsck_failure"));
-        }
-        drop(ga);
-        drop(gb);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn rings_stay_bounded() {
-        let _s = serial();
-        let dir = tmp_dir("bounded");
-        let obs = Obs::new();
-        let guard = arm(&dir, &obs, &[], "unit-bounded");
-        for i in 0..(FLIGHT_FRAMES as u64 + 40) {
-            obs.set_clock_ns((i + 1) * crate::feed::SIM_INTERVAL_DEFAULT_NS);
-        }
-        for _ in 0..(FLIGHT_SPANS + 50) {
-            let _g = obs.span(OpKind::Read);
-        }
-        guard.flight().dump("bound-check");
-        let dump = parse_flight(&std::fs::read_to_string(guard.flight().path()).unwrap()).unwrap();
-        assert!(dump.frames.len() <= FLIGHT_FRAMES);
-        assert!(dump.spans.len() <= FLIGHT_SPANS);
-        let report = postmortem(&dump);
-        let Some(Json::Arr(diag)) = report.get("diagnosis") else { panic!("diagnosis") };
-        assert!(!diag.is_empty(), "diagnosis is never empty");
-        drop(guard);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn parse_rejects_torn_and_malformed_dumps() {
-        let _s = serial();
-        assert!(parse_flight("").is_err(), "no head");
-        assert!(parse_flight("{\"rec\":\"frame\"}").is_err(), "frame before head");
-        let dir = tmp_dir("reject");
-        let obs = Obs::new();
-        let guard = arm(&dir, &obs, &[], "unit-reject");
-        guard.flight().dump("x");
-        let text = std::fs::read_to_string(guard.flight().path()).unwrap();
-        // Head alone (frames stripped) must not validate.
-        let head_only: String = text.lines().take(1).map(|l| format!("{l}\n")).collect();
-        assert!(parse_flight(&head_only).is_err());
-        drop(guard);
-        std::fs::remove_dir_all(&dir).ok();
-    }
 }

@@ -17,10 +17,10 @@
 //! sees the whole path a request took.
 
 pub mod diff;
-pub mod feed;
 pub mod flight;
 pub mod json;
 pub mod prof;
+pub mod telemetry;
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
@@ -723,20 +723,18 @@ pub struct Obs {
     /// 0 is the main thread; fan-out workers bind 1.. via
     /// [`Obs::bind_thread_slot`].
     thread_ops: [AtomicU64; THREAD_SLOTS],
-    /// Next simulated instant the attached telemetry tap wants a frame;
+    /// Next simulated instant the telemetry pacer wants a frame;
     /// `u64::MAX` (the reset value) keeps the [`Obs::set_clock_ns`] hot
-    /// path to a single relaxed load when no feed is attached.
-    feed_due_ns: AtomicU64,
-    /// The attached sim-cadence telemetry tap, if any (weak: the tap
-    /// holds the `Arc<Obs>`, so a strong ref here would leak both).
-    feed_tap: Mutex<Option<Weak<feed::FeedTap>>>,
-    /// Next simulated instant the armed flight recorder wants a frame
-    /// cut; `u64::MAX` keeps the disarmed hot path to one relaxed load
-    /// (same pacing trick as `feed_due_ns`).
-    pub(crate) flight_due_ns: AtomicU64,
-    /// The armed flight recorder, if any (weak: the guard holds the
-    /// `Arc<flight::Flight>`, which holds the `Arc<Obs>`).
-    pub(crate) flight_slot: Mutex<Option<Weak<flight::Flight>>>,
+    /// path to a single relaxed load when nothing wants periodic frames.
+    pub(crate) telemetry_due_ns: AtomicU64,
+    /// This stack's telemetry producer, if a feed tap or flight recorder
+    /// is attached (weak: their guards hold the producer, which holds the
+    /// `Arc<Obs>`, so a strong ref here would leak both).
+    pub(crate) telemetry: Mutex<Option<Weak<telemetry::Producer>>>,
+    /// Member-volume registries of a volume set, in volume order (unset
+    /// for single-volume stacks). Telemetry frames carry one row per
+    /// volume, and the flight ring merges their spans and events.
+    volumes: OnceLock<Vec<Arc<Obs>>>,
     /// Per-op p99 latency objectives, nanoseconds (0 = no objective
     /// armed for that op). See [`Obs::set_slo`].
     slo_ns: [AtomicU64; OpKind::COUNT],
@@ -840,10 +838,9 @@ impl Obs {
             cg_table: OnceLock::new(),
             queue_depth: AtomicU64::new(0),
             thread_ops: std::array::from_fn(|_| AtomicU64::new(0)),
-            feed_due_ns: AtomicU64::new(u64::MAX),
-            feed_tap: Mutex::new(None),
-            flight_due_ns: AtomicU64::new(u64::MAX),
-            flight_slot: Mutex::new(None),
+            telemetry_due_ns: AtomicU64::new(u64::MAX),
+            telemetry: Mutex::new(None),
+            volumes: OnceLock::new(),
             slo_ns: std::array::from_fn(|_| AtomicU64::new(0)),
         })
     }
@@ -1140,14 +1137,23 @@ impl Obs {
     /// Flush the armed flight recorder (no-op when none is armed) —
     /// the explicit-dump entry of the black box.
     pub fn dump_flight(&self, reason: &str) {
-        let f = self
-            .flight_slot
-            .lock()
-            .ok()
-            .and_then(|s| s.as_ref().and_then(Weak::upgrade));
-        if let Some(f) = f {
-            f.dump(reason);
+        let p = self.telemetry.lock().ok().and_then(|s| s.as_ref().and_then(Weak::upgrade));
+        if let Some(p) = p {
+            p.dump(reason);
         }
+    }
+
+    /// Register a volume set's member registries, in volume order (first
+    /// call wins). Telemetry frames of this registry then carry one row
+    /// per volume.
+    pub fn set_volumes(&self, vols: Vec<Arc<Obs>>) {
+        let _ = self.volumes.set(vols);
+    }
+
+    /// The member-volume registries set by [`Obs::set_volumes`] (empty
+    /// for single-volume stacks).
+    pub fn volumes(&self) -> &[Arc<Obs>] {
+        self.volumes.get().map_or(&[], Vec::as_slice)
     }
 
     fn current_span_fields(&self) -> (u64, &'static str) {
@@ -1177,17 +1183,13 @@ impl Obs {
             *slot = (*slot).max(now_ns);
         });
         self.clock_ns.fetch_max(now_ns, Ordering::Relaxed);
-        // Telemetry pacer: with no tap attached `feed_due_ns` is
-        // `u64::MAX`, so the feed costs this hot path exactly one
+        // Telemetry pacer: with nothing attached `telemetry_due_ns` is
+        // `u64::MAX`, so telemetry costs this hot path exactly one
         // relaxed load. Every call site holds no obs locks (verified
         // against the driver's submit/worker/advance paths), so frame
         // emission can take the registry locks sequentially.
-        if now_ns >= self.feed_due_ns.load(Ordering::Relaxed) {
-            feed::sim_fire(self, now_ns);
-        }
-        // Flight-recorder pacer: same single relaxed load when disarmed.
-        if now_ns >= self.flight_due_ns.load(Ordering::Relaxed) {
-            flight::sim_fire(self, now_ns);
+        if now_ns >= self.telemetry_due_ns.load(Ordering::Relaxed) {
+            telemetry::sim_fire(self, now_ns);
         }
     }
 

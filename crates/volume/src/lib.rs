@@ -216,7 +216,7 @@ pub struct VolumeSet {
     /// Set-level flight recorder (`None` without a `--flight` opt-in):
     /// per-volume spans and events merge into its ring tagged with the
     /// volume index, alongside each volume's own per-mount recorder.
-    _flight: Option<cffs_obs::flight::FlightGuard>,
+    _flight: Option<cffs_obs::telemetry::FlightGuard>,
 }
 
 impl VolumeSet {
@@ -248,8 +248,8 @@ impl VolumeSet {
         let t = vols.iter().map(|v| v.obs.clock_ns()).max().unwrap_or(0);
         set_obs.set_clock_ns(t);
         set_obs.arm_default_slos();
-        let vol_registries: Vec<Arc<Obs>> = vols.iter().map(|v| Arc::clone(&v.obs)).collect();
-        let flight = cffs_obs::flight::arm_global_volumes(&set_obs, &vol_registries, &label);
+        set_obs.set_volumes(vols.iter().map(|v| Arc::clone(&v.obs)).collect());
+        let flight = cffs_obs::telemetry::arm_global(&set_obs, &label);
         Ok(VolumeSet {
             label,
             cfg,
@@ -280,8 +280,8 @@ impl VolumeSet {
         Arc::clone(&self.set_obs)
     }
 
-    /// Per-volume observability registries, in volume order — what
-    /// `cffs_obs::feed::attach_with_volumes` wants.
+    /// Per-volume observability registries, in volume order (also
+    /// registered on the set registry via `Obs::set_volumes`).
     pub fn vol_obs(&self) -> Vec<Arc<Obs>> {
         self.vols.iter().map(|v| Arc::clone(&v.obs)).collect()
     }

@@ -6,8 +6,10 @@
 //!
 //! `--follow` tails a feed file a repro binary is writing (start one
 //! with `--feed <path>`, e.g. `repro_aging_regroup --feed /tmp/feed.jsonl`)
-//! and redraws the dashboard as frames land. The feed's atomic-rewrite
-//! discipline means a poll always reads a complete prefix of frames.
+//! and redraws the dashboard as frames land. The feed is append-only and
+//! every record is one whole line, so each poll reads only the complete
+//! lines appended since the last one; a final line without a newline is
+//! a write in progress and waits for the next poll.
 //!
 //! `--replay` steps through a recorded feed frame by frame — the
 //! flight-recorder view of a finished run. Replaying a seeded
@@ -21,9 +23,9 @@
 //! delay / follow poll period (default 200; ignored when headless
 //! replaying).
 
-use cffs::obs::feed;
-use cffs::obs::json::Json;
 use cffs::feedview::FeedView;
+use cffs::obs::json::Json;
+use cffs::obs::telemetry;
 
 fn usage() -> ! {
     eprintln!(
@@ -75,12 +77,13 @@ fn main() {
             eprintln!("cffs-top: cannot read {path}: {e}");
             std::process::exit(1);
         });
-        let frames = parse_or_die(&text, &path);
-        for frame in &frames {
+        for rec in &parse_or_die(&text, &path) {
             if max_frames.is_some_and(|m| shown >= m) {
                 break;
             }
-            view.push(frame);
+            if !view.push(rec) {
+                continue;
+            }
             shown += 1;
             show(&view);
             if !headless {
@@ -88,31 +91,39 @@ fn main() {
             }
         }
     } else {
-        // Tail the file: atomic rewrites mean every poll sees a complete
-        // prefix, so rendering resumes exactly where the last poll ended.
-        let mut seen = 0usize;
+        // Tail the file: read what was appended since the last poll and
+        // fold its whole lines; a torn last line stays pending.
+        use std::io::Read as _;
+        let mut file = std::fs::File::open(&path).unwrap_or_else(|e| {
+            eprintln!("cffs-top: cannot read {path}: {e}");
+            std::process::exit(1);
+        });
+        let mut pending: Vec<u8> = Vec::new();
         loop {
             if max_frames.is_some_and(|m| shown >= m) {
                 break;
             }
-            let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            if let Err(e) = file.read_to_end(&mut pending) {
                 eprintln!("cffs-top: cannot read {path}: {e}");
                 std::process::exit(1);
-            });
-            let frames = parse_or_die(&text, &path);
+            }
+            let whole = pending.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+            let text = String::from_utf8_lossy(&pending[..whole]).into_owned();
+            pending.drain(..whole);
             let mut progressed = false;
-            for frame in frames.iter().skip(seen) {
+            for rec in &parse_or_die(&text, &path) {
                 if max_frames.is_some_and(|m| shown >= m) {
                     break;
                 }
-                view.push(frame);
+                if !view.push(rec) {
+                    continue;
+                }
                 shown += 1;
                 progressed = true;
                 if headless {
                     show(&view);
                 }
             }
-            seen = view.frames_seen() as usize;
             if !headless && progressed {
                 show(&view);
             }
@@ -135,7 +146,7 @@ fn emit(s: &str) {
 }
 
 fn parse_or_die(text: &str, path: &str) -> Vec<Json> {
-    feed::parse_feed(text).unwrap_or_else(|e| {
+    telemetry::parse_feed(text).unwrap_or_else(|e| {
         eprintln!("cffs-top: {path}: {e}");
         std::process::exit(1);
     })

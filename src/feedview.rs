@@ -1,10 +1,14 @@
 //! Rendering for the live telemetry feed — the engine behind `cffs-top`.
 //!
-//! A [`FeedView`] consumes feed frames (see `cffs_obs::feed`) one at a
-//! time and renders a terminal dashboard: a per-cylinder-group heatmap,
+//! A [`FeedView`] consumes feed records (see `cffs_obs::telemetry`) one
+//! at a time and renders a terminal dashboard: a per-cylinder-group heatmap,
 //! sparklines of the headline signals, the recent `signal.*` /
 //! `regroup.*` event log, per-thread op counters, and — when the
 //! producer is a volume set — one row per volume with an ops-share bar.
+//!
+//! Frames are cumulative; the view derives each frame's deltas against
+//! the record before it — the previous frame, or the `base` record a tap
+//! writes when it attaches (every stage may observe a fresh stack).
 //!
 //! The renderer is deliberately deterministic in headless (no-color)
 //! mode: it never prints host-time counters (`lock_wait_ns_*` stay in
@@ -82,19 +86,32 @@ struct LoggedEvent {
     b: u64,
 }
 
-/// Streaming dashboard state: push frames in, render text out.
+/// `key` of `j` as a u64 (0 when absent).
+fn u(j: &Json, key: &str) -> u64 {
+    j.get(key).and_then(Json::as_u64).unwrap_or(0)
+}
+
+/// Element `i` of array `key` in `j`, if any.
+fn elem<'a>(j: Option<&'a Json>, key: &str, i: usize) -> Option<&'a Json> {
+    j.and_then(|j| j.get(key)).and_then(Json::as_arr).and_then(|a| a.get(i))
+}
+
+/// Streaming dashboard state: push records in, render text out.
 pub struct FeedView {
     /// Emit ANSI colors / screen clears. Off ⇒ plain deterministic text.
     color: bool,
     frames_seen: u64,
-    /// Latest frame (rendering is state-of-now plus the rolling windows).
-    last: Option<Json>,
+    /// Latest frame and the record its deltas are taken against
+    /// (rendering is state-of-now plus the rolling windows).
+    last: Option<(Json, Option<Json>)>,
+    /// A tap's `base` record awaiting its first frame.
+    base: Option<Json>,
     util_track: Track,
     queue_track: Track,
     dirty_track: Track,
     ops_track: Track,
     events: VecDeque<LoggedEvent>,
-    /// Cumulative ops per thread slot (frames carry deltas).
+    /// Ops per thread slot over every frame seen (summed across taps).
     thread_totals: Vec<u64>,
     prev_t_ns: Option<u64>,
 }
@@ -107,6 +124,7 @@ impl FeedView {
             color,
             frames_seen: 0,
             last: None,
+            base: None,
             util_track: Track::new("group_fetch_util_ewma"),
             queue_track: Track::new("driver_queue_depth_ewma"),
             dirty_track: Track::new("cache_dirty_backlog_ewma"),
@@ -117,14 +135,28 @@ impl FeedView {
         }
     }
 
-    /// Frames consumed so far.
-    pub fn frames_seen(&self) -> u64 {
-        self.frames_seen
+    /// Fold one (already validated) record into the rolling state.
+    /// Returns true for a frame — the points a dashboard renders at.
+    pub fn push(&mut self, rec: &Json) -> bool {
+        match rec.get("rec").and_then(Json::as_str) {
+            Some("frame") => {
+                self.push_frame(rec);
+                true
+            }
+            Some("base") => {
+                self.base = Some(rec.clone());
+                false
+            }
+            _ => {
+                self.log_event(rec);
+                false
+            }
+        }
     }
 
-    /// Fold one (already validated) frame into the rolling state.
-    pub fn push(&mut self, frame: &Json) {
+    fn push_frame(&mut self, frame: &Json) {
         self.frames_seen += 1;
+        let base = self.base.take().or_else(|| self.last.take().map(|(f, _)| f));
         let sig_milli = |name: &str| -> f64 {
             frame
                 .get("signals")
@@ -137,36 +169,37 @@ impl FeedView {
         self.util_track.push(sig_milli("group_fetch_util_ewma"));
         self.queue_track.push(sig_milli("driver_queue_depth_ewma"));
         self.dirty_track.push(sig_milli("cache_dirty_backlog_ewma"));
-        let ops = frame.get("ops").and_then(Json::as_u64).unwrap_or(0);
-        let t_ns = frame.get("t_ns").and_then(Json::as_u64).unwrap_or(0);
+        let ops = u(frame, "ops").saturating_sub(base.as_ref().map_or(0, |b| u(b, "ops")));
+        let t_ns = u(frame, "t_ns");
         let dt_ns = self.prev_t_ns.map_or(0, |p| t_ns.saturating_sub(p));
         // Ops per *simulated* second — both numerator and denominator are
         // deterministic. A zero-width frame reports the raw op count.
         let rate = if dt_ns > 0 { ops as f64 * 1e9 / dt_ns as f64 } else { ops as f64 };
         self.ops_track.push(rate);
         self.prev_t_ns = Some(t_ns);
-        if let Some(Json::Arr(evs)) = frame.get("events") {
-            for e in evs {
-                if self.events.len() == EVENT_WINDOW {
-                    self.events.pop_front();
-                }
-                self.events.push_back(LoggedEvent {
-                    t_ns: e.get("t_ns").and_then(Json::as_u64).unwrap_or(0),
-                    tag: e.get("tag").and_then(Json::as_str).unwrap_or("?").to_string(),
-                    a: e.get("a").and_then(Json::as_u64).unwrap_or(0),
-                    b: e.get("b").and_then(Json::as_u64).unwrap_or(0),
-                });
-            }
-        }
-        if let Some(Json::Arr(threads)) = frame.get("threads") {
+        if let Some(threads) = frame.get("threads").and_then(Json::as_arr) {
             if self.thread_totals.len() < threads.len() {
                 self.thread_totals.resize(threads.len(), 0);
             }
             for (i, t) in threads.iter().enumerate() {
-                self.thread_totals[i] += t.as_u64().unwrap_or(0);
+                let prev = elem(base.as_ref(), "threads", i).and_then(Json::as_u64).unwrap_or(0);
+                self.thread_totals[i] += t.as_u64().unwrap_or(0).saturating_sub(prev);
             }
         }
-        self.last = Some(frame.clone());
+        self.last = Some((frame.clone(), base));
+    }
+
+    /// Append one `event` record to the event log window.
+    fn log_event(&mut self, e: &Json) {
+        if self.events.len() == EVENT_WINDOW {
+            self.events.pop_front();
+        }
+        self.events.push_back(LoggedEvent {
+            t_ns: u(e, "t_ns"),
+            tag: e.get("tag").and_then(Json::as_str).unwrap_or("?").to_string(),
+            a: u(e, "a"),
+            b: u(e, "b"),
+        });
     }
 
     /// Color a heatmap cell by its utilization EWMA (green high, yellow
@@ -188,17 +221,22 @@ impl FeedView {
     /// Render the dashboard for the most recent frame. Returns an empty
     /// string before the first [`push`](FeedView::push).
     pub fn render(&self) -> String {
-        let Some(frame) = &self.last else {
+        let Some((frame, base)) = &self.last else {
             return String::new();
         };
+        let base = base.as_ref();
+        // The frame's growth of `key` in `row` over the same row of the
+        // base (rows matched by position).
+        let grew = |row: &Json, base_row: Option<&Json>, key: &str| {
+            u(row, key).saturating_sub(base_row.map_or(0, |b| u(b, key)))
+        };
         let mut out = String::new();
-        let seq = frame.get("seq").and_then(Json::as_u64).unwrap_or(0);
+        let seq = self.frames_seen - 1;
         let stage = frame.get("stage").and_then(Json::as_str).unwrap_or("?");
-        let t_ns = frame.get("t_ns").and_then(Json::as_u64).unwrap_or(0);
-        let qd = frame.get("queue_depth").and_then(Json::as_u64).unwrap_or(0);
-        let ops = frame.get("ops").and_then(Json::as_u64).unwrap_or(0);
-        // Absent in feeds cut before the SLO registry existed: render 0.
-        let slo_burn = frame.get("slo_burn_milli").and_then(Json::as_u64).unwrap_or(0);
+        let t_ns = u(frame, "t_ns");
+        let qd = u(frame, "queue_depth");
+        let ops = grew(frame, base, "ops");
+        let slo_burn = u(frame, "slo_burn_milli");
         let bold = |s: &str| {
             if self.color {
                 format!("\x1b[1m{s}\x1b[0m")
@@ -216,10 +254,14 @@ impl FeedView {
         // Curated counter deltas. lock_wait_ns_* counters are host-time
         // and nondeterministic: present in the frames, never rendered.
         if let Some(Json::Obj(counters)) = frame.get("counters") {
+            let base_counters = base.and_then(|b| b.get("counters"));
             let shown: Vec<String> = counters
                 .iter()
                 .filter(|(k, _)| !k.starts_with("lock_wait_ns"))
-                .map(|(k, v)| format!("{k}={}", v.as_u64().unwrap_or(0)))
+                .map(|(k, v)| {
+                    let prev = base_counters.map_or(0, |c| u(c, k));
+                    format!("{k}={}", v.as_u64().unwrap_or(0).saturating_sub(prev))
+                })
                 .collect();
             let _ = writeln!(out, "  {}", shown.join(" "));
         }
@@ -243,12 +285,11 @@ impl FeedView {
                 );
                 let mut row = String::from("  ");
                 for (i, c) in cgs.iter().enumerate() {
-                    let used = c.get("used").and_then(Json::as_u64).unwrap_or(0);
-                    let cap = c.get("data_blocks").and_then(Json::as_u64).unwrap_or(0).max(1);
+                    let used = u(c, "used");
+                    let cap = u(c, "data_blocks").max(1);
                     let tenth = (used * 10 + cap / 2) / cap;
-                    let util = c.get("util_ewma_milli").and_then(Json::as_u64).unwrap_or(0);
-                    let sampled =
-                        c.get("util_samples").and_then(Json::as_u64).unwrap_or(0) > 0;
+                    let util = u(c, "util_ewma_milli");
+                    let sampled = u(c, "util_samples") > 0;
                     row.push_str(&self.paint(RAMP[(tenth as usize).min(10)], util, sampled));
                     if (i + 1) % HEAT_COLS == 0 {
                         let _ = writeln!(out, "{row}");
@@ -261,14 +302,15 @@ impl FeedView {
                 // The busiest groups this frame, with their numbers.
                 let mut hot: Vec<(u64, u64, u64, u64)> = cgs
                     .iter()
-                    .map(|c| {
-                        let ios = c.get("dread_ios").and_then(Json::as_u64).unwrap_or(0)
-                            + c.get("dwrite_ios").and_then(Json::as_u64).unwrap_or(0);
+                    .enumerate()
+                    .map(|(i, c)| {
+                        let b = elem(base, "cgs", i);
+                        let ios = grew(c, b, "read_ios") + grew(c, b, "write_ios");
                         (
                             ios,
-                            c.get("cg").and_then(Json::as_u64).unwrap_or(0),
-                            c.get("used").and_then(Json::as_u64).unwrap_or(0),
-                            c.get("util_ewma_milli").and_then(Json::as_u64).unwrap_or(0),
+                            u(c, "cg"),
+                            u(c, "used"),
+                            u(c, "util_ewma_milli"),
                         )
                     })
                     .filter(|&(ios, ..)| ios > 0)
@@ -293,24 +335,23 @@ impl FeedView {
         if let Some(Json::Arr(vols)) = frame.get("volumes") {
             if !vols.is_empty() {
                 let _ = writeln!(out, "{} ({})", bold("volumes"), vols.len());
-                let max_ops = vols
+                let vol_ops: Vec<u64> = vols
                     .iter()
-                    .filter_map(|v| v.get("ops").and_then(Json::as_u64))
-                    .max()
-                    .unwrap_or(0)
-                    .max(1);
-                for v in vols {
-                    let get = |k: &str| v.get(k).and_then(Json::as_u64).unwrap_or(0);
-                    let ops = get("ops");
+                    .enumerate()
+                    .map(|(i, v)| grew(v, elem(base, "volumes", i), "ops"))
+                    .collect();
+                let max_ops = vol_ops.iter().copied().max().unwrap_or(0).max(1);
+                for (i, (v, &ops)) in vols.iter().zip(&vol_ops).enumerate() {
+                    let b = elem(base, "volumes", i);
                     let bar = "#".repeat(((ops * 16 + max_ops / 2) / max_ops) as usize);
                     let _ = writeln!(
                         out,
                         "  vol{:<2} ops={ops:<8} qd={:<4} dr={:<6} dw={:<6} gf-util={:>5.1}%  {bar}",
-                        get("vol"),
-                        get("queue_depth"),
-                        get("dreads"),
-                        get("dwrites"),
-                        get("gf_util_ewma_milli") as f64 / 1000.0,
+                        u(v, "vol"),
+                        u(v, "queue_depth"),
+                        grew(v, b, "dreads"),
+                        grew(v, b, "dwrites"),
+                        u(v, "gf_util_ewma_milli") as f64 / 1000.0,
                     );
                 }
             }
@@ -359,11 +400,12 @@ mod tests {
 
     #[test]
     fn view_renders_pushed_frame() {
-        let line = r#"{"seq":0,"stage":"warm","t_ns":1000,"counters":{"disk_requests":5,"lock_wait_ns_alloc":99},"ops":2,"queue_depth":1,"histos":{},"signals":{"group_fetch_util_ewma":{"ewma_milli":77000,"samples":3,"low":false,"high":false,"floor_milli":null,"ceiling_milli":null,"low_count":0,"high_count":0}},"cgs":[{"cg":0,"data_blocks":100,"used":50,"util_ewma_milli":77000,"util_samples":3,"dread_ios":4,"dwrite_ios":0,"dread_sectors":32,"dwrite_sectors":0}],"threads":[2,0],"events":[{"t_ns":900,"tag":"signal.group_fetch_util.low","a":48,"b":0}]}"#;
-        let frame = cffs_obs::json::parse(line).unwrap();
+        let event = r#"{"rec":"event","vol":null,"t_ns":900,"tag":"signal.group_fetch_util.low","a":48,"b":0}"#;
+        let line = r#"{"rec":"frame","stage":"warm","t_ns":1000,"counters":{"disk_requests":5,"lock_wait_ns_alloc":99},"ops":2,"queue_depth":1,"histos":{},"signals":{"group_fetch_util_ewma":{"ewma_milli":77000,"samples":3,"low":false,"high":false,"floor_milli":null,"ceiling_milli":null,"low_count":0,"high_count":0}},"cgs":[{"cg":0,"data_blocks":100,"used":50,"util_ewma_milli":77000,"util_samples":3,"read_ios":4,"write_ios":0,"read_sectors":32,"write_sectors":0}],"threads":[2,0]}"#;
         let mut view = FeedView::new(false);
         assert_eq!(view.render(), "");
-        view.push(&frame);
+        assert!(!view.push(&cffs_obs::json::parse(event).unwrap()));
+        assert!(view.push(&cffs_obs::json::parse(line).unwrap()));
         let text = view.render();
         assert!(text.contains("stage=warm"), "{text}");
         assert!(text.contains("disk_requests=5"), "{text}");
@@ -380,7 +422,7 @@ mod tests {
 
     #[test]
     fn view_renders_slo_burn() {
-        let line = r#"{"seq":3,"stage":"churn","t_ns":2000,"counters":{},"ops":9,"queue_depth":0,"histos":{},"signals":{},"cgs":[],"threads":[],"events":[],"dcache_hit_milli":0,"slo_burn_milli":1500,"volumes":[]}"#;
+        let line = r#"{"rec":"frame","stage":"churn","t_ns":2000,"counters":{},"ops":9,"queue_depth":0,"histos":{},"signals":{},"cgs":[],"threads":[],"slo_burn_milli":1500,"volumes":[]}"#;
         let frame = cffs_obs::json::parse(line).unwrap();
         let mut view = FeedView::new(false);
         view.push(&frame);
@@ -390,14 +432,17 @@ mod tests {
 
     #[test]
     fn view_renders_volume_rows() {
-        let line = r#"{"seq":0,"stage":"volume-4v/sessions","t_ns":1000,"counters":{},"ops":30,"queue_depth":0,"histos":{},"signals":{},"cgs":[],"threads":[],"events":[],"dcache_hit_milli":0,"volumes":[{"vol":0,"ops":20,"queue_depth":1,"dreads":7,"dwrites":3,"gf_util_ewma_milli":62500},{"vol":1,"ops":10,"queue_depth":0,"dreads":2,"dwrites":1,"gf_util_ewma_milli":0}]}"#;
-        let frame = cffs_obs::json::parse(line).unwrap();
+        // Cumulative rows over a base: vol0 did 20 ops, vol1 10.
+        let base = r#"{"rec":"base","stage":"volume-4v","t_ns":0,"counters":{},"ops":0,"queue_depth":0,"histos":{},"signals":{},"cgs":[],"threads":[],"volumes":[{"vol":0,"ops":5,"queue_depth":0,"dreads":1,"dwrites":0,"gf_util_ewma_milli":0},{"vol":1,"ops":5,"queue_depth":0,"dreads":0,"dwrites":0,"gf_util_ewma_milli":0}]}"#;
+        let line = r#"{"rec":"frame","stage":"volume-4v/sessions","t_ns":1000,"counters":{},"ops":30,"queue_depth":0,"histos":{},"signals":{},"cgs":[],"threads":[],"volumes":[{"vol":0,"ops":25,"queue_depth":1,"dreads":8,"dwrites":3,"gf_util_ewma_milli":62500},{"vol":1,"ops":15,"queue_depth":0,"dreads":2,"dwrites":1,"gf_util_ewma_milli":0}]}"#;
         let mut view = FeedView::new(false);
-        view.push(&frame);
+        view.push(&cffs_obs::json::parse(base).unwrap());
+        view.push(&cffs_obs::json::parse(line).unwrap());
         let text = view.render();
         assert!(text.contains("volumes (2)"), "{text}");
         assert!(text.contains("vol0"), "{text}");
         assert!(text.contains("gf-util= 62.5%"), "{text}");
+        assert!(text.contains("vol0  ops=20       qd=1    dr=7"), "{text}");
         // vol0 is the busiest → full 16-char bar; vol1 at half → 8.
         assert!(text.contains(&"#".repeat(16)), "{text}");
         let vol1 = text.lines().find(|l| l.contains("vol1")).expect("vol1 row");

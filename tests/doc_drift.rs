@@ -6,8 +6,7 @@
 //! emit appears in the README, and every glossary entry names something
 //! that still exists.
 
-use cffs_obs::feed::FRAME_FIELDS;
-use cffs_obs::flight::{FLIGHT_FRAME_FIELDS, FLIGHT_RECORDS};
+use cffs_obs::telemetry::{FRAME_FIELDS, RECORDS};
 use cffs_obs::{Ctr, Histos};
 use std::collections::BTreeSet;
 
@@ -52,7 +51,7 @@ fn every_counter_and_histogram_is_in_the_readme() {
 }
 
 /// Code → docs: every telemetry frame field is documented in the
-/// README's feed table. (Frame fields need not contain `_`, so this
+/// README's one frame table. (Frame fields need not contain `_`, so this
 /// checks for the backticked name directly rather than reusing
 /// `backticked_names`.)
 #[test]
@@ -65,18 +64,19 @@ fn every_feed_frame_field_is_in_the_readme() {
         .collect();
     assert!(
         missing.is_empty(),
-        "README.md feed glossary is missing these frame fields: {missing:?}"
+        "README.md frame glossary is missing these frame fields: {missing:?}"
     );
 }
 
-/// Code → docs: every flight-recorder record type and frame field is
-/// documented, so a `FLIGHT_*.jsonl` reader can always look a record up.
+/// Code → docs: every record type of the feed and the flight dump, and
+/// every frame field, is documented, so a `FLIGHT_*.jsonl` or feed
+/// reader can always look a record up.
 #[test]
 fn every_flight_record_and_field_is_in_the_readme() {
     let text = readme();
-    let missing: Vec<_> = FLIGHT_RECORDS
+    let missing: Vec<_> = RECORDS
         .iter()
-        .chain(FLIGHT_FRAME_FIELDS.iter())
+        .chain(FRAME_FIELDS.iter())
         .map(|(name, _)| *name)
         .filter(|name| !text.contains(&format!("`{name}`")))
         .collect();
@@ -93,12 +93,10 @@ fn every_flight_record_and_field_is_in_the_readme() {
 fn readme_glossary_names_all_exist() {
     let text = readme();
     let mut known = emittable_names();
-    // The feed frame-field table uses the same `| `name` | meaning |`
-    // row shape; its names come from FRAME_FIELDS, not Ctr/Histos.
-    known.extend(FRAME_FIELDS.iter().map(|(name, _)| name.to_string()));
-    // Likewise the flight-recorder record and frame-field tables.
-    known.extend(FLIGHT_RECORDS.iter().map(|(name, _)| name.to_string()));
-    known.extend(FLIGHT_FRAME_FIELDS.iter().map(|(name, _)| name.to_string()));
+    // The frame-field and record tables use the same `| `name` | meaning |`
+    // row shape; their names come from FRAME_FIELDS and RECORDS, not
+    // Ctr/Histos.
+    known.extend(FRAME_FIELDS.iter().chain(RECORDS).map(|(name, _)| name.to_string()));
     // Glossary rows are markdown table lines whose first cell is a
     // backticked name.
     let mut stale = Vec::new();

@@ -142,7 +142,7 @@ fn crash_at_every_tear_point_of_every_relocation() {
 /// state fsck then reconstructs.
 #[test]
 fn flight_dump_is_valid_at_every_tear_point() {
-    use cffs_obs::feed::FRAME_COUNTERS;
+    use cffs_obs::telemetry::FRAME_COUNTERS;
     use cffs_obs::json::Json;
 
     let dir = std::env::temp_dir().join(format!("cffs-crash-flight-{}", std::process::id()));
@@ -153,7 +153,7 @@ fn flight_dump_is_valid_at_every_tear_point() {
     let obs = fs.obs();
     // Armed directly (not via the process-global `--flight` path) so
     // parallel tests in this binary share no global state.
-    let guard = cffs_obs::flight::arm(&dir, &obs, &[], "regroup-crash");
+    let guard = cffs_obs::telemetry::arm(&dir, &obs, "regroup-crash");
     let plan =
         cffs::regroup::plan(&mut fs, &cffs::regroup::RegroupConfig::exhaustive()).expect("plan");
     let dp = &plan.dirs[0];
@@ -173,8 +173,8 @@ fn flight_dump_is_valid_at_every_tear_point() {
         fsck::fsck(&mut img, true).unwrap_or_else(|e| panic!("{ctx}: repair diverged: {e}"));
         // Dump at this tear point and require the black box to be
         // internally exact, not merely parseable.
-        guard.flight().dump(&ctx);
-        let text = std::fs::read_to_string(guard.flight().path()).expect("read dump");
+        guard.dump(&ctx);
+        let text = std::fs::read_to_string(guard.path()).expect("read dump");
         let dump = cffs_obs::flight::parse_flight(&text)
             .unwrap_or_else(|e| panic!("{ctx}: invalid flight dump: {e}"));
         // Our explicit dump is normally the last word, but the sibling

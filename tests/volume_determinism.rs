@@ -16,7 +16,7 @@
 
 use cffs::core::CffsConfig;
 use cffs::feedview::FeedView;
-use cffs::obs::feed::{self, Cadence};
+use cffs::obs::telemetry::{self, Cadence};
 use cffs::volume::{VolumeCfg, VolumeSet};
 use cffs::workloads::multiclient::{self, MulticlientParams};
 use cffs_disksim::{models, Disk};
@@ -76,23 +76,18 @@ fn single_threaded_run_is_byte_stable() {
     assert_ne!(run(42).4, run(43).4, "the seed must actually steer the stream");
 }
 
-/// One seeded single-threaded producer run with a manual-cadence tap
-/// carrying the per-volume registries (the E16 telemetry shape): one
+/// One seeded single-threaded producer run with a manual-cadence tap on
+/// the set registry, whose member volumes it reports (the E16 telemetry
+/// shape): one
 /// frame per phase barrier, each with a `volumes` row per spindle.
 /// Returns the feed text.
 fn feed_producer(tag: &str, seed: u64) -> String {
     let path =
         std::env::temp_dir().join(format!("cffs-voldet-{tag}-{}.jsonl", std::process::id()));
-    let sink = feed::FeedSink::create(&path).expect("create feed");
+    let sink = telemetry::FeedSink::create(&path).expect("create feed");
     let vs = set(2);
     {
-        let tap = feed::attach_with_volumes(
-            &sink,
-            &vs.set_obs(),
-            &vs.vol_obs(),
-            "multiclient",
-            Cadence::Manual,
-        );
+        let tap = telemetry::attach(&sink, &vs.set_obs(), "multiclient", Cadence::Manual);
         multiclient::run_with_phase_hook(&vs, &params(1, seed), |phase| tap.frame(phase))
             .expect("multiclient");
     }
@@ -104,14 +99,15 @@ fn feed_producer(tag: &str, seed: u64) -> String {
 #[test]
 fn single_threaded_feed_rendering_is_byte_deterministic() {
     let render = |text: &str| {
-        let frames = feed::parse_feed(text).expect("every frame validates");
-        assert!(!frames.is_empty());
+        let records = telemetry::parse_feed(text).expect("every record validates");
+        assert!(records.iter().any(telemetry::is_frame));
         let mut view = FeedView::new(false);
         let mut out = String::new();
-        for f in &frames {
-            view.push(f);
-            out.push_str(&view.render());
-            out.push_str("---\n");
+        for r in &records {
+            if view.push(r) {
+                out.push_str(&view.render());
+                out.push_str("---\n");
+            }
         }
         out
     };
