@@ -18,6 +18,11 @@ cargo test --release --workspace --offline -q -- --test-threads=8
 echo "== clippy (-D warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== perfbench build (own workspace; implements ConcurrentFs) =="
+# The benchmark package sits outside the workspace, so the steps above
+# never compile it; a trait change could break it while they stay green.
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== bench smoke (repro_smallfile + repro_aging_regroup + repro_concurrent + repro_namei + repro_volume + repro_diskreqs, reduced scale) =="
 BENCH_TMP=$(mktemp -d)
 # Feed and flight recorder armed together: both sinks share one producer.

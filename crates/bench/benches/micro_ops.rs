@@ -20,14 +20,14 @@ fn fresh_ffs() -> impl FileSystem {
 }
 
 fn bench_create() {
-    bench_with_setup("create/cffs", 300, fresh_cffs, |mut fs| {
+    bench_with_setup("create/cffs", 300, fresh_cffs, |fs| {
         let root = fs.root();
         let dir = fs.mkdir(root, "d").unwrap();
         for i in 0..200 {
             black_box(fs.create(dir, &format!("f{i}")).unwrap());
         }
     });
-    bench_with_setup("create/ffs", 300, fresh_ffs, |mut fs| {
+    bench_with_setup("create/ffs", 300, fresh_ffs, |fs| {
         let root = fs.root();
         let dir = fs.mkdir(root, "d").unwrap();
         for i in 0..200 {
@@ -37,7 +37,7 @@ fn bench_create() {
 }
 
 fn bench_lookup() {
-    let mut fs = fresh_cffs();
+    let fs = fresh_cffs();
     let root = fs.root();
     let dir = fs.mkdir(root, "d").unwrap();
     for i in 0..500 {
@@ -51,7 +51,7 @@ fn bench_lookup() {
 }
 
 fn bench_write_read() {
-    let mut fs = fresh_cffs();
+    let fs = fresh_cffs();
     let root = fs.root();
     let ino = fs.create(root, "big").unwrap();
     let data = vec![0xA5u8; 64 * 1024];
@@ -63,7 +63,7 @@ fn bench_write_read() {
 }
 
 fn bench_readdir() {
-    let mut fs = fresh_cffs();
+    let fs = fresh_cffs();
     let root = fs.root();
     let dir = fs.mkdir(root, "big").unwrap();
     for i in 0..1000 {

@@ -24,7 +24,7 @@ use crate::report::{header, rows_json};
 use cffs::build;
 use cffs_core::{Cffs, CffsConfig};
 use cffs_disksim::models;
-use cffs_fslib::{FileKind, FileSystem, FsResult, Ino, MetadataMode, BLOCK_SIZE};
+use cffs_fslib::{FileKind, FsResult, Ino, MetadataMode, BLOCK_SIZE};
 use cffs_obs::json::{Json, ToJson};
 use cffs_obs::obj;
 use cffs_obs::telemetry::{tap_global, Cadence};

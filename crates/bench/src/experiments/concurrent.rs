@@ -41,8 +41,8 @@ struct Point {
 
 /// Run the workload at `nthreads` on a fresh instance and capture the
 /// counter delta as a phase row (the same shape `measure` produces, but
-/// built by hand: the multi-threaded run drives `ConcurrentFs`, not the
-/// single-threaded `FileSystem` trait that `measure` wraps).
+/// built by hand: `measure` times one closure on the calling thread,
+/// while this run fans out over client threads).
 fn point(p: &ConcurrentParams) -> Point {
     let fs = build::on_disk(
         models::tiny_test_disk(),

@@ -23,7 +23,7 @@ use crate::report::{header, rows_json};
 use cffs::build;
 use cffs_core::{fsck, CffsConfig};
 use cffs_disksim::models;
-use cffs_fslib::{FileSystem, MetadataMode};
+use cffs_fslib::{ConcurrentFs, MetadataMode};
 use cffs_obs::json::{Json, ToJson};
 use cffs_obs::telemetry::{tap_global, Cadence};
 use cffs_obs::{obj, Ctr, OpKind};
@@ -59,7 +59,7 @@ fn disk_for(p: &NameiParams) -> cffs_disksim::DiskModel {
 fn run_point(cfg: CffsConfig, p: &NameiParams) -> RunOut {
     let mut fs = build::on_disk(disk_for(p), cfg);
     let label = fs.label().to_string();
-    let obs = FileSystem::obs(&fs);
+    let obs = ConcurrentFs::obs(&fs);
     let _feed = obs.as_ref().and_then(|o| tap_global(o, &label, Cadence::Sim));
 
     let mut rows = Vec::new();

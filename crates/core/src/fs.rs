@@ -1,4 +1,4 @@
-//! The mounted C-FFS and its [`FileSystem`] implementation.
+//! The mounted C-FFS and its [`ConcurrentFs`] + [`FileSystem`] implementation.
 //!
 //! ## The four variants
 //!
@@ -47,10 +47,10 @@ use cffs_disksim::driver::{Driver, DriverConfig, Scheduler};
 use cffs_disksim::{Disk, SimDuration, SimTime};
 use cffs_fslib::error::check_name;
 use cffs_fslib::inode::{Inode, MAX_FILE_SIZE, NDIRECT, NO_BLOCK, PTRS_PER_BLOCK};
-use cffs_fslib::vfs::MetadataMode;
+use cffs_fslib::vfs::{subtree_contains, MetadataMode};
 use cffs_fslib::{
-    Attr, CpuModel, DirEntry, FileKind, FsError, FsResult, FileSystem, Ino, StatFs,
-    BLOCK_SIZE,
+    Attr, ConcurrentFs, CpuModel, DirEntry, FileKind, FsError, FsResult, FileSystem, Ino,
+    StatFs, BLOCK_SIZE,
 };
 use cffs_obs::{Ctr, Obs, OpKind, SpanGuard};
 use std::collections::HashMap;
@@ -245,7 +245,8 @@ impl NsState {
 /// sharded behind interior mutability. The lock hierarchy (acquire
 /// strictly downward, see DESIGN.md §10):
 ///
-/// 1. op stripes (per-inode hash, ascending when two are needed)
+/// 1. op stripes (per-inode hash, ascending when two are needed), then
+///    `dir_moves` (directory renames across parents only)
 /// 2. `meta` (external inode file)
 /// 3. `groups` (group index)
 /// 4. `cg_state[i]` (per-CG header + bitmap; persist callbacks from
@@ -280,6 +281,8 @@ pub struct Cffs {
     /// stale-handle guard).
     gen_counter: AtomicU32,
     op_stripes: Vec<Mutex<()>>,
+    /// Serializes directory moves across parents (see [`Cffs::rename`]).
+    dir_moves: Mutex<()>,
     cfg: CffsConfig,
     /// Armed flight recorder for this mount (`None` unless the process
     /// opted in via `cffs_obs::telemetry::set_global_flight`, i.e.
@@ -372,6 +375,7 @@ impl Cffs {
             dir_rotor: AtomicU32::new(0),
             gen_counter: AtomicU32::new(0),
             op_stripes: (0..OP_STRIPES).map(|_| Mutex::new(())).collect(),
+            dir_moves: Mutex::new(()),
             cfg,
             _flight: flight,
         };
@@ -1722,17 +1726,17 @@ enum InsertPayload<'a> {
 /// resolution, so `fs.read(...)` on a shared handle hits these
 /// directly.
 impl Cffs {
-    /// Label for reports — see [`FileSystem::label`].
+    /// Label for reports — see [`ConcurrentFs::label`].
     pub fn label(&self) -> &str {
         &self.cfg.label
     }
 
-    /// The root inode — see [`FileSystem::root`].
+    /// The root inode — see [`ConcurrentFs::root`].
     pub fn root(&self) -> Ino {
         INO_ROOT
     }
 
-    /// Resolve `name` in a directory — see [`FileSystem::lookup`].
+    /// Resolve `name` in a directory — see [`ConcurrentFs::lookup`].
     pub fn lookup(&self, dirino: Ino, name: &str) -> FsResult<Ino> {
         let _op = self.op_lock(dirino);
         let _span = self.op_span(OpKind::Lookup);
@@ -1776,7 +1780,7 @@ impl Cffs {
         }
     }
 
-    /// Attributes of an inode — see [`FileSystem::getattr`].
+    /// Attributes of an inode — see [`ConcurrentFs::getattr`].
     pub fn getattr(&self, ino: Ino) -> FsResult<Attr> {
         let _op = self.op_lock(ino);
         let _span = self.op_span(OpKind::Getattr);
@@ -1791,7 +1795,7 @@ impl Cffs {
         })
     }
 
-    /// Create a file — see [`FileSystem::create`].
+    /// Create a file — see [`ConcurrentFs::create`].
     pub fn create(&self, dirino: Ino, name: &str) -> FsResult<Ino> {
         let _op = self.op_lock(dirino);
         let _span = self.op_span(OpKind::Create);
@@ -1838,7 +1842,7 @@ impl Cffs {
         Ok(ino)
     }
 
-    /// Create a directory — see [`FileSystem::mkdir`].
+    /// Create a directory — see [`ConcurrentFs::mkdir`].
     pub fn mkdir(&self, dirino: Ino, name: &str) -> FsResult<Ino> {
         let _op = self.op_lock(dirino);
         let _span = self.op_span(OpKind::Mkdir);
@@ -1885,7 +1889,7 @@ impl Cffs {
         Ok(ino)
     }
 
-    /// Remove a file name — see [`FileSystem::unlink`]. Serializes on
+    /// Remove a file name — see [`ConcurrentFs::unlink`]. Serializes on
     /// the *directory's* stripe only: racing writers of the victim file
     /// synchronize on the shared structures underneath.
     pub fn unlink(&self, dirino: Ino, name: &str) -> FsResult<()> {
@@ -2026,6 +2030,22 @@ impl Cffs {
         if odir == ndir && oname == nname {
             return Ok(old_ino);
         }
+        // A directory changing parent must not land in its own subtree.
+        // The check and the move stay atomic against other directory
+        // moves, or two crossing moves could close a cycle.
+        let _move = if oentry.kind == FileKind::Dir && odir != ndir {
+            let guard = self.obs.lock_timed(&self.dir_moves, Ctr::LockWaitNsAlloc);
+            let subdirs = |d| {
+                let dirs = self.list_dir(d)?.into_iter().filter(|e| e.kind == FileKind::Dir);
+                Ok(dirs.map(|e| e.ino).collect())
+            };
+            if subtree_contains(old_ino, ndir, subdirs)? {
+                return Err(FsError::InvalidArg);
+            }
+            Some(guard)
+        } else {
+            None
+        };
         let mut ninode = if ndir == odir { oinode.clone() } else { self.require_dir(ndir)? };
         // Clear an existing destination first.
         if let Some((dblk, dlbn, dentry)) = self.dir_find(ndir, &mut ninode, nname)? {
@@ -2163,7 +2183,7 @@ impl Cffs {
         Ok(new_ino)
     }
 
-    /// Read file data — see [`FileSystem::read`].
+    /// Read file data — see [`ConcurrentFs::read`].
     pub fn read(&self, ino: Ino, off: u64, buf: &mut [u8]) -> FsResult<usize> {
         let _op = self.op_lock(ino);
         let _span = self.op_span(OpKind::Read);
@@ -2211,7 +2231,7 @@ impl Cffs {
         Ok(done)
     }
 
-    /// Write file data — see [`FileSystem::write`].
+    /// Write file data — see [`ConcurrentFs::write`].
     pub fn write(&self, ino: Ino, off: u64, data: &[u8]) -> FsResult<usize> {
         let _op = self.op_lock(ino);
         let _span = self.op_span(OpKind::Write);
@@ -2300,11 +2320,17 @@ impl Cffs {
         Ok(())
     }
 
-    /// List a directory — see [`FileSystem::readdir`].
+    /// List a directory — see [`ConcurrentFs::readdir`].
     pub fn readdir(&self, dirino: Ino) -> FsResult<Vec<DirEntry>> {
         let _op = self.op_lock(dirino);
         let _span = self.op_span(OpKind::Readdir);
         self.charge(self.cpu_model().syscall);
+        self.list_dir(dirino)
+    }
+
+    /// The body of [`Cffs::readdir`] without its op stripe, so `rename`
+    /// can walk a subtree under the stripes it already holds.
+    fn list_dir(&self, dirino: Ino) -> FsResult<Vec<DirEntry>> {
         let mut dinode = self.require_dir(dirino)?;
         let nblocks = dinode.size / BLOCK_SIZE as u64;
         let mut out = Vec::new();
@@ -2333,7 +2359,7 @@ impl Cffs {
     }
 
     /// Flush dirty CG headers, the superblock, and the cache — see
-    /// [`FileSystem::sync`].
+    /// [`ConcurrentFs::sync`].
     pub fn sync(&self) -> FsResult<()> {
         let _span = self.op_span(OpKind::Sync);
         self.charge(self.cpu_model().syscall);
@@ -2379,7 +2405,7 @@ impl Cffs {
         })
     }
 
-    /// This thread's simulated clock — see [`FileSystem::now`].
+    /// This thread's simulated clock — see [`ConcurrentFs::now`].
     pub fn now(&self) -> SimTime {
         self.drv.now()
     }
@@ -2428,73 +2454,7 @@ impl Cffs {
     }
 }
 
-impl FileSystem for Cffs {
-    fn label(&self) -> &str {
-        Cffs::label(self)
-    }
-    fn root(&self) -> Ino {
-        Cffs::root(self)
-    }
-    fn lookup(&mut self, dirino: Ino, name: &str) -> FsResult<Ino> {
-        Cffs::lookup(self, dirino, name)
-    }
-    fn getattr(&mut self, ino: Ino) -> FsResult<Attr> {
-        Cffs::getattr(self, ino)
-    }
-    fn create(&mut self, dirino: Ino, name: &str) -> FsResult<Ino> {
-        Cffs::create(self, dirino, name)
-    }
-    fn mkdir(&mut self, dirino: Ino, name: &str) -> FsResult<Ino> {
-        Cffs::mkdir(self, dirino, name)
-    }
-    fn unlink(&mut self, dirino: Ino, name: &str) -> FsResult<()> {
-        Cffs::unlink(self, dirino, name)
-    }
-    fn rmdir(&mut self, dirino: Ino, name: &str) -> FsResult<()> {
-        Cffs::rmdir(self, dirino, name)
-    }
-    fn link(&mut self, target: Ino, dirino: Ino, name: &str) -> FsResult<Ino> {
-        Cffs::link(self, target, dirino, name)
-    }
-    fn rename(&mut self, odir: Ino, oname: &str, ndir: Ino, nname: &str) -> FsResult<Ino> {
-        Cffs::rename(self, odir, oname, ndir, nname)
-    }
-    fn read(&mut self, ino: Ino, off: u64, buf: &mut [u8]) -> FsResult<usize> {
-        Cffs::read(self, ino, off, buf)
-    }
-    fn write(&mut self, ino: Ino, off: u64, data: &[u8]) -> FsResult<usize> {
-        Cffs::write(self, ino, off, data)
-    }
-    fn truncate(&mut self, ino: Ino, size: u64) -> FsResult<()> {
-        Cffs::truncate(self, ino, size)
-    }
-    fn readdir(&mut self, dirino: Ino) -> FsResult<Vec<DirEntry>> {
-        Cffs::readdir(self, dirino)
-    }
-    fn sync(&mut self) -> FsResult<()> {
-        Cffs::sync(self)
-    }
-    fn statfs(&mut self) -> FsResult<StatFs> {
-        Cffs::statfs(self)
-    }
-    fn now(&self) -> SimTime {
-        Cffs::now(self)
-    }
-    fn drop_caches(&mut self) -> FsResult<()> {
-        Cffs::drop_caches(self)
-    }
-    fn group_hint(&mut self, dirino: Ino, names: &[&str]) -> FsResult<()> {
-        Cffs::group_hint(self, dirino, names)
-    }
-    fn cpu_model(&self) -> CpuModel {
-        Cffs::cpu_model(self)
-    }
-    fn obs(&self) -> Option<Arc<Obs>> {
-        Some(Cffs::obs(self))
-    }
-}
-
-impl cffs_fslib::ConcurrentFs for Cffs {
+impl ConcurrentFs for Cffs {
     fn label(&self) -> &str {
         Cffs::label(self)
     }
@@ -2533,6 +2493,33 @@ impl cffs_fslib::ConcurrentFs for Cffs {
     }
     fn obs(&self) -> Option<Arc<Obs>> {
         Some(Cffs::obs(self))
+    }
+}
+
+impl FileSystem for Cffs {
+    fn rmdir(&self, dirino: Ino, name: &str) -> FsResult<()> {
+        Cffs::rmdir(self, dirino, name)
+    }
+    fn link(&self, target: Ino, dirino: Ino, name: &str) -> FsResult<Ino> {
+        Cffs::link(self, target, dirino, name)
+    }
+    fn rename(&self, odir: Ino, oname: &str, ndir: Ino, nname: &str) -> FsResult<Ino> {
+        Cffs::rename(self, odir, oname, ndir, nname)
+    }
+    fn truncate(&self, ino: Ino, size: u64) -> FsResult<()> {
+        Cffs::truncate(self, ino, size)
+    }
+    fn statfs(&self) -> FsResult<StatFs> {
+        Cffs::statfs(self)
+    }
+    fn drop_caches(&self) -> FsResult<()> {
+        Cffs::drop_caches(self)
+    }
+    fn group_hint(&self, dirino: Ino, names: &[&str]) -> FsResult<()> {
+        Cffs::group_hint(self, dirino, names)
+    }
+    fn cpu_model(&self) -> CpuModel {
+        Cffs::cpu_model(self)
     }
 }
 
@@ -2600,15 +2587,15 @@ mod tests {
 
     #[test]
     fn deep_hierarchy() {
-        let mut fs = fresh(CffsConfig::cffs());
+        let fs = fresh(CffsConfig::cffs());
         let mut p = String::new();
         for d in 0..24 {
             p.push_str(&format!("/level{d}"));
         }
-        let dir = path::mkdir_p(&mut fs, &p).unwrap();
+        let dir = path::mkdir_p(&fs, &p).unwrap();
         let f = fs.create(dir, "leaf").unwrap();
         fs.write(f, 0, b"bottom").unwrap();
-        assert_eq!(path::read_file(&mut fs, &format!("{p}/leaf")).unwrap(), b"bottom");
+        assert_eq!(path::read_file(&fs, &format!("{p}/leaf")).unwrap(), b"bottom");
     }
 
     #[test]
@@ -2716,7 +2703,7 @@ mod tests {
     fn write_at_exactly_group_threshold() {
         // A file of exactly group_blocks * 4 KB stays grouped; one byte
         // more triggers degrouping.
-        let mut fs = fresh(CffsConfig::cffs());
+        let fs = fresh(CffsConfig::cffs());
         let root = fs.root();
         let d = fs.mkdir(root, "d").unwrap();
         let f = fs.create(d, "edge").unwrap();
@@ -2740,7 +2727,7 @@ mod tests {
             }
         }
         // Contents intact.
-        let data = path::read_all(&mut fs, f).unwrap();
+        let data = path::read_all(&fs, f).unwrap();
         assert_eq!(data.len(), limit + 1);
         assert!(data[..limit].iter().all(|&b| b == 1));
     }

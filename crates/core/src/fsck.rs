@@ -552,15 +552,15 @@ mod tests {
 
     fn populated(cfg: CffsConfig) -> Disk {
         let disk = Disk::new(models::tiny_test_disk());
-        let mut fs = mkfs(disk, MkfsParams::tiny(), cfg).unwrap();
-        path::mkdir_p(&mut fs, "/src/lib").unwrap();
+        let fs = mkfs(disk, MkfsParams::tiny(), cfg).unwrap();
+        path::mkdir_p(&fs, "/src/lib").unwrap();
         for i in 0..20 {
-            path::write_file(&mut fs, &format!("/src/f{i}.c"), &vec![i as u8; 1024]).unwrap();
+            path::write_file(&fs, &format!("/src/f{i}.c"), &vec![i as u8; 1024]).unwrap();
         }
-        path::write_file(&mut fs, "/src/lib/big.bin", &vec![9u8; 150_000]).unwrap();
-        let f = path::resolve(&mut fs, "/src/f0.c").unwrap();
+        path::write_file(&fs, "/src/lib/big.bin", &vec![9u8; 150_000]).unwrap();
+        let f = path::resolve(&fs, "/src/f0.c").unwrap();
         fs.link(f, fs.root(), "hard").unwrap();
-        path::remove_file(&mut fs, "/src/f3.c").unwrap();
+        path::remove_file(&fs, "/src/f3.c").unwrap();
         fs.unmount().unwrap()
     }
 
@@ -622,8 +622,8 @@ mod tests {
         // exist. Simulate the worst crash — directory block written, data
         // not — and verify fsck finds a structurally valid file.
         let disk = Disk::new(models::tiny_test_disk());
-        let mut fs = mkfs(disk, MkfsParams::tiny(), CffsConfig::cffs()).unwrap();
-        path::write_file(&mut fs, "/a.txt", b"x").unwrap();
+        let fs = mkfs(disk, MkfsParams::tiny(), CffsConfig::cffs()).unwrap();
+        path::write_file(&fs, "/a.txt", b"x").unwrap();
         let mut crash = fs.crash_image();
         // Synchronous mode: the entry (name+inode) hit the disk at create.
         let report = fsck(&mut crash, true).unwrap();

@@ -1,4 +1,5 @@
-//! The mounted file system: `Ffs` and its [`FileSystem`] implementation.
+//! The mounted file system: `Ffs` and its [`ConcurrentFs`] +
+//! [`FileSystem`] implementation.
 //!
 //! ## Metadata update ordering
 //!
@@ -16,11 +17,19 @@
 //! That is two synchronous disk writes per create and per delete: the cost
 //! C-FFS's embedded inodes halve (name and inode share a sector) and soft
 //! updates eliminate. In [`MetadataMode::Delayed`] every metadata write is
-//! simply left dirty in the cache until [`Ffs::sync`] — the paper's
+//! simply left dirty in the cache until `sync` — the paper's
 //! soft-updates emulation.
 //!
 //! File *data* writes are always delayed; bitmaps and the superblock are
 //! flushed at sync, as in the real FFS.
+//!
+//! ## Concurrency
+//!
+//! `Ffs` is `Send + Sync` but stays the serial baseline. Its only mutable
+//! state, the [`Allocator`], sits behind one mutex that every operation
+//! holds from entry to return (an `Op`; `drop_caches` holds it through the
+//! `sync` it runs), so concurrent callers queue instead of interleaving
+//! metadata updates.
 
 use crate::alloc::Allocator;
 use crate::dir;
@@ -30,13 +39,14 @@ use cffs_disksim::driver::{Driver, DriverConfig, Scheduler};
 use cffs_disksim::{Disk, SimDuration, SimTime};
 use cffs_fslib::error::check_name;
 use cffs_fslib::inode::{Inode, MAX_FILE_SIZE, NDIRECT, NO_BLOCK, PTRS_PER_BLOCK};
-use cffs_fslib::vfs::MetadataMode;
+use cffs_fslib::vfs::{subtree_contains, MetadataMode};
 use cffs_fslib::{
-    Attr, CpuModel, DirEntry, FileKind, FsError, FsResult, FileSystem, Ino, StatFs,
-    BLOCK_SIZE,
+    Attr, ConcurrentFs, CpuModel, DirEntry, FileKind, FsError, FsResult, FileSystem, Ino,
+    StatFs, BLOCK_SIZE,
 };
 use cffs_obs::{Ctr, Obs, OpKind, SpanGuard};
-use std::sync::Arc;
+use std::ops::Deref;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Mount-time options.
 #[derive(Debug, Clone)]
@@ -71,7 +81,7 @@ pub struct Ffs {
     drv: Driver,
     cache: BufferCache,
     sb: Superblock,
-    alloc: Allocator,
+    alloc: Mutex<Allocator>,
     cpu: CpuModel,
     mode: MetadataMode,
     label: String,
@@ -96,7 +106,7 @@ impl Ffs {
             drv,
             cache,
             sb,
-            alloc: Allocator::new(cgs),
+            alloc: Mutex::new(Allocator::new(cgs)),
             cpu: opts.cpu,
             mode: opts.metadata_mode,
             label: opts.label,
@@ -104,7 +114,7 @@ impl Ffs {
     }
 
     /// Sync everything and hand the disk back (for remount or inspection).
-    pub fn unmount(mut self) -> FsResult<Disk> {
+    pub fn unmount(self) -> FsResult<Disk> {
         self.sync()?;
         Ok(self.drv.into_disk())
     }
@@ -137,7 +147,7 @@ impl Ffs {
     /// analysis; off by default). Only this call clears the trace:
     /// enabling starts an empty one that then spans every later request,
     /// across any number of measured phases, until it is turned off.
-    pub fn set_disk_trace(&mut self, on: bool) {
+    pub fn set_disk_trace(&self, on: bool) {
         self.drv.with_disk_mut(|d| d.set_trace(on));
     }
 
@@ -146,7 +156,7 @@ impl Ffs {
         self.drv.with_disk(|d| d.trace().to_vec())
     }
 
-    fn charge(&mut self, d: SimDuration) {
+    fn charge(&self, d: SimDuration) {
         self.drv.advance(d);
     }
 
@@ -158,13 +168,20 @@ impl Ffs {
         self.drv.obs().span(op)
     }
 
+    /// Start a public operation: open its span, then take the allocator
+    /// lock for the operation's whole duration.
+    fn begin(&self, op: OpKind) -> Op<'_> {
+        let span = self.op_span(op);
+        Op { fs: self, alloc: self.alloc.lock().expect("allocator poisoned"), _span: span }
+    }
+
     fn ino_cg(&self, ino: Ino) -> u32 {
         (ino / self.sb.inodes_per_cg as u64) as u32
     }
 
     // ----- inode access -------------------------------------------------
 
-    fn read_inode(&mut self, ino: Ino) -> FsResult<Inode> {
+    fn read_inode(&self, ino: Ino) -> FsResult<Inode> {
         self.charge(self.cpu.block_op);
         self.obs().bump(Ctr::FsExternalInodeOps);
         let (blk, off) = self.sb.inode_location(ino)?;
@@ -174,7 +191,7 @@ impl Ffs {
 
     /// Write an inode image. `durable` requests a synchronous flush when
     /// the mount is in synchronous-metadata mode.
-    fn write_inode(&mut self, ino: Ino, inode: &Inode, durable: bool) -> FsResult<()> {
+    fn write_inode(&self, ino: Ino, inode: &Inode, durable: bool) -> FsResult<()> {
         self.charge(self.cpu.block_op);
         self.obs().bump(Ctr::FsExternalInodeOps);
         let (blk, off) = self.sb.inode_location(ino)?;
@@ -191,7 +208,7 @@ impl Ffs {
         Ok(())
     }
 
-    fn clear_inode(&mut self, ino: Ino, durable: bool) -> FsResult<()> {
+    fn clear_inode(&self, ino: Ino, durable: bool) -> FsResult<()> {
         self.charge(self.cpu.block_op);
         let (blk, off) = self.sb.inode_location(ino)?;
         self.cache
@@ -202,6 +219,45 @@ impl Ffs {
         Ok(())
     }
 
+    fn require_dir(&self, ino: Ino) -> FsResult<Inode> {
+        let inode = self.read_inode(ino)?;
+        if inode.kind != FileKind::Dir {
+            return Err(FsError::NotDir);
+        }
+        Ok(inode)
+    }
+
+    /// Apply the synchronous-metadata policy to a dirtied directory block.
+    fn dir_durable(&self, blk: u64) -> FsResult<()> {
+        if self.mode == MetadataMode::Synchronous {
+            self.obs().bump(Ctr::FsSyncMetaWrites);
+            self.cache.flush_block_sync(&self.drv, blk)?;
+        } else {
+            self.obs().bump(Ctr::FsDelayedMetaWrites);
+        }
+        Ok(())
+    }
+}
+
+/// One operation in flight: the mount plus the allocator lock it holds
+/// until it returns. Helpers that may allocate or free blocks (or walk
+/// block maps that could) live here; the rest of the mount is reached
+/// through `Deref`.
+struct Op<'a> {
+    fs: &'a Ffs,
+    alloc: MutexGuard<'a, Allocator>,
+    _span: SpanGuard,
+}
+
+impl Deref for Op<'_> {
+    type Target = Ffs;
+
+    fn deref(&self) -> &Ffs {
+        self.fs
+    }
+}
+
+impl Op<'_> {
     // ----- block mapping --------------------------------------------------
 
     /// Map logical block `lbn` of an inode to a physical block. With
@@ -224,7 +280,7 @@ impl Ffs {
             let hint = if lbn > 0 { inode.direct[lbn as usize - 1] } else { NO_BLOCK };
             self.charge(self.cpu.alloc_op);
             let blk = self.alloc.alloc_block(
-                &self.sb,
+                &self.fs.sb,
                 cg,
                 (hint != NO_BLOCK).then_some(hint as u64),
             )?;
@@ -261,7 +317,7 @@ impl Ffs {
                 return Ok(None);
             }
             self.charge(self.cpu.alloc_op);
-            let nb = self.alloc.alloc_block(&self.sb, cg, Some(dind))?;
+            let nb = self.alloc.alloc_block(&self.fs.sb, cg, Some(dind))?;
             self.cache
                 .modify_block(&self.drv, nb, true, false, |d| d.fill(0))?;
             self.cache.modify_block(&self.drv, dind, true, true, |d| {
@@ -289,7 +345,7 @@ impl Ffs {
             return Ok(None);
         }
         self.charge(self.cpu.alloc_op);
-        let blk = self.alloc.alloc_block(&self.sb, cg, None)?;
+        let blk = self.alloc.alloc_block(&self.fs.sb, cg, None)?;
         self.cache
             .modify_block(&self.drv, blk, true, false, |d| d.fill(0))?;
         Ok(Some((blk, true)))
@@ -319,7 +375,7 @@ impl Ffs {
         } else {
             Some(ind)
         };
-        let blk = self.alloc.alloc_block(&self.sb, cg, hint)?;
+        let blk = self.alloc.alloc_block(&self.fs.sb, cg, hint)?;
         self.cache.modify_block(&self.drv, ind, true, true, |d| {
             cffs_fslib::codec::put_u32(d, idx * 4, blk as u32)
         })?;
@@ -418,23 +474,15 @@ impl Ffs {
     fn release_data_block(&mut self, ino: Ino, lbn: u64, blk: u64) {
         self.cache.unbind_logical(ino, lbn);
         self.cache.invalidate_block(&self.drv, blk);
-        self.alloc.free_block(&self.sb, blk);
+        self.alloc.free_block(&self.fs.sb, blk);
     }
 
     fn release_meta_block(&mut self, blk: u64) {
         self.cache.invalidate_block(&self.drv, blk);
-        self.alloc.free_block(&self.sb, blk);
+        self.alloc.free_block(&self.fs.sb, blk);
     }
 
     // ----- directory helpers -------------------------------------------
-
-    fn require_dir(&mut self, ino: Ino) -> FsResult<Inode> {
-        let inode = self.read_inode(ino)?;
-        if inode.kind != FileKind::Dir {
-            return Err(FsError::NotDir);
-        }
-        Ok(inode)
-    }
 
     /// Scan the directory for `name`; returns `(block, entry)`.
     fn dir_find(
@@ -512,17 +560,6 @@ impl Ffs {
         Ok((blk, entry.ino as Ino, entry.kind))
     }
 
-    /// Apply the synchronous-metadata policy to a dirtied directory block.
-    fn dir_durable(&mut self, blk: u64) -> FsResult<()> {
-        if self.mode == MetadataMode::Synchronous {
-            self.obs().bump(Ctr::FsSyncMetaWrites);
-            self.cache.flush_block_sync(&self.drv, blk)?;
-        } else {
-            self.obs().bump(Ctr::FsDelayedMetaWrites);
-        }
-        Ok(())
-    }
-
     fn dir_is_empty(&mut self, dirino: Ino, inode: &mut Inode) -> FsResult<bool> {
         let nblocks = inode.size / BLOCK_SIZE as u64;
         for lbn in 0..nblocks {
@@ -537,349 +574,8 @@ impl Ffs {
         Ok(true)
     }
 
-    /// Shared tail of unlink/rename-replace: drop one link from `ino`,
-    /// freeing it when the count hits zero. The name is already gone.
-    fn drop_file_link(&mut self, ino: Ino) -> FsResult<()> {
-        let mut inode = self.read_inode(ino)?;
-        inode.nlink -= 1;
-        if inode.nlink == 0 {
-            self.free_blocks_from(ino, &mut inode, 0)?;
-            self.clear_inode(ino, true)?;
-            self.charge(self.cpu.alloc_op);
-            self.alloc.free_inode(&self.sb, ino, false);
-        } else {
-            self.write_inode(ino, &inode, true)?;
-        }
-        Ok(())
-    }
-}
-
-impl FileSystem for Ffs {
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn root(&self) -> Ino {
-        INO_ROOT
-    }
-
-    fn lookup(&mut self, dirino: Ino, name: &str) -> FsResult<Ino> {
-        let _span = self.op_span(OpKind::Lookup);
-        self.charge(self.cpu.syscall);
-        check_name(name)?;
-        let mut inode = self.require_dir(dirino)?;
-        match self.dir_find(dirino, &mut inode, name)? {
-            Some((_, e)) => Ok(e.ino as Ino),
-            None => Err(FsError::NotFound),
-        }
-    }
-
-    fn getattr(&mut self, ino: Ino) -> FsResult<Attr> {
-        let _span = self.op_span(OpKind::Getattr);
-        self.charge(self.cpu.syscall);
-        let inode = self.read_inode(ino)?;
-        Ok(Attr {
-            ino,
-            kind: inode.kind,
-            size: inode.size,
-            nlink: inode.nlink as u32,
-            blocks: inode.blocks as u64,
-        })
-    }
-
-    fn create(&mut self, dirino: Ino, name: &str) -> FsResult<Ino> {
-        let _span = self.op_span(OpKind::Create);
-        self.charge(self.cpu.syscall);
-        check_name(name)?;
-        let mut dinode = self.require_dir(dirino)?;
-        if self.dir_find(dirino, &mut dinode, name)?.is_some() {
-            return Err(FsError::Exists);
-        }
-        self.charge(self.cpu.alloc_op);
-        let ino = self.alloc.alloc_inode(&self.sb, FileKind::File, self.ino_cg(dirino))?;
-        let inode = Inode::new(FileKind::File);
-        // Ordering: inode first (synchronously), then the name.
-        self.write_inode(ino, &inode, true)?;
-        let (blk, grew) = self.dir_insert(dirino, &mut dinode, name, ino, FileKind::File)?;
-        self.dir_durable(blk)?;
-        self.write_inode(dirino, &dinode, grew)?;
-        Ok(ino)
-    }
-
-    fn mkdir(&mut self, dirino: Ino, name: &str) -> FsResult<Ino> {
-        let _span = self.op_span(OpKind::Mkdir);
-        self.charge(self.cpu.syscall);
-        check_name(name)?;
-        let mut dinode = self.require_dir(dirino)?;
-        if self.dir_find(dirino, &mut dinode, name)?.is_some() {
-            return Err(FsError::Exists);
-        }
-        self.charge(self.cpu.alloc_op);
-        let ino = self.alloc.alloc_inode(&self.sb, FileKind::Dir, self.ino_cg(dirino))?;
-        let mut inode = Inode::new(FileKind::Dir);
-        inode.nlink = 2;
-        self.write_inode(ino, &inode, true)?;
-        let (blk, grew) = self.dir_insert(dirino, &mut dinode, name, ino, FileKind::Dir)?;
-        dinode.nlink += 1;
-        self.dir_durable(blk)?;
-        self.write_inode(dirino, &dinode, grew)?;
-        Ok(ino)
-    }
-
-    fn unlink(&mut self, dirino: Ino, name: &str) -> FsResult<()> {
-        let _span = self.op_span(OpKind::Unlink);
-        self.charge(self.cpu.syscall);
-        check_name(name)?;
-        let mut dinode = self.require_dir(dirino)?;
-        let Some((_, entry)) = self.dir_find(dirino, &mut dinode, name)? else {
-            return Err(FsError::NotFound);
-        };
-        if entry.kind == FileKind::Dir {
-            return Err(FsError::IsDir);
-        }
-        // Ordering: name removal hits the disk before the inode is freed.
-        let (blk, ino, _) = self.dir_remove(dirino, &mut dinode, name)?;
-        self.dir_durable(blk)?;
-        self.drop_file_link(ino)
-    }
-
-    fn rmdir(&mut self, dirino: Ino, name: &str) -> FsResult<()> {
-        let _span = self.op_span(OpKind::Rmdir);
-        self.charge(self.cpu.syscall);
-        check_name(name)?;
-        let mut dinode = self.require_dir(dirino)?;
-        let Some((_, entry)) = self.dir_find(dirino, &mut dinode, name)? else {
-            return Err(FsError::NotFound);
-        };
-        if entry.kind != FileKind::Dir {
-            return Err(FsError::NotDir);
-        }
-        let child = entry.ino as Ino;
-        let mut cinode = self.require_dir(child)?;
-        if !self.dir_is_empty(child, &mut cinode)? {
-            return Err(FsError::DirNotEmpty);
-        }
-        let (blk, _, _) = self.dir_remove(dirino, &mut dinode, name)?;
-        self.dir_durable(blk)?;
-        self.free_blocks_from(child, &mut cinode, 0)?;
-        self.clear_inode(child, true)?;
-        self.charge(self.cpu.alloc_op);
-        self.alloc.free_inode(&self.sb, child, true);
-        dinode.nlink = dinode.nlink.saturating_sub(1);
-        self.write_inode(dirino, &dinode, false)?;
-        Ok(())
-    }
-
-    fn link(&mut self, target: Ino, dirino: Ino, name: &str) -> FsResult<Ino> {
-        let _span = self.op_span(OpKind::Link);
-        self.charge(self.cpu.syscall);
-        check_name(name)?;
-        let mut tinode = self.read_inode(target)?;
-        if tinode.kind == FileKind::Dir {
-            return Err(FsError::IsDir);
-        }
-        if tinode.nlink == u16::MAX {
-            return Err(FsError::TooManyLinks);
-        }
-        let mut dinode = self.require_dir(dirino)?;
-        if self.dir_find(dirino, &mut dinode, name)?.is_some() {
-            return Err(FsError::Exists);
-        }
-        tinode.nlink += 1;
-        self.write_inode(target, &tinode, true)?;
-        let (blk, grew) = self.dir_insert(dirino, &mut dinode, name, target, FileKind::File)?;
-        self.dir_durable(blk)?;
-        self.write_inode(dirino, &dinode, grew)?;
-        Ok(target)
-    }
-
-    fn rename(&mut self, odir: Ino, oname: &str, ndir: Ino, nname: &str) -> FsResult<Ino> {
-        let _span = self.op_span(OpKind::Rename);
-        self.charge(self.cpu.syscall);
-        check_name(oname)?;
-        check_name(nname)?;
-        let mut oinode = self.require_dir(odir)?;
-        let Some((_, entry)) = self.dir_find(odir, &mut oinode, oname)? else {
-            return Err(FsError::NotFound);
-        };
-        let moving = entry.ino as Ino;
-        let moving_kind = entry.kind;
-        if odir == ndir && oname == nname {
-            return Ok(moving);
-        }
-        let mut ninode = if ndir == odir { oinode.clone() } else { self.require_dir(ndir)? };
-        // Handle an existing destination.
-        if let Some((_, dst)) = self.dir_find(ndir, &mut ninode, nname)? {
-            let dst_ino = dst.ino as Ino;
-            if dst_ino == moving {
-                // Hard link to the same object: drop the old name only.
-                if ndir == odir {
-                    oinode = ninode;
-                }
-                let (blk, ino, _) = self.dir_remove(odir, &mut oinode, oname)?;
-                self.write_inode(odir, &oinode, false)?;
-                self.dir_durable(blk)?;
-                self.drop_file_link(ino)?;
-                return Ok(moving);
-            }
-            match dst.kind {
-                FileKind::Dir => {
-                    if moving_kind != FileKind::Dir {
-                        return Err(FsError::IsDir);
-                    }
-                    let mut dnode = self.require_dir(dst_ino)?;
-                    if !self.dir_is_empty(dst_ino, &mut dnode)? {
-                        return Err(FsError::DirNotEmpty);
-                    }
-                    let (blk, _, _) = self.dir_remove(ndir, &mut ninode, nname)?;
-                    self.dir_durable(blk)?;
-                    self.free_blocks_from(dst_ino, &mut dnode, 0)?;
-                    self.clear_inode(dst_ino, true)?;
-                    self.charge(self.cpu.alloc_op);
-                    self.alloc.free_inode(&self.sb, dst_ino, true);
-                    ninode.nlink = ninode.nlink.saturating_sub(1);
-                }
-                FileKind::File => {
-                    if moving_kind == FileKind::Dir {
-                        return Err(FsError::NotDir);
-                    }
-                    let (blk, ino, _) = self.dir_remove(ndir, &mut ninode, nname)?;
-                    self.dir_durable(blk)?;
-                    self.drop_file_link(ino)?;
-                }
-            }
-        }
-        // Insert the new name first, then remove the old one: a crash in
-        // between leaves an extra name, never a lost file.
-        let (blk, grew) = self.dir_insert(ndir, &mut ninode, nname, moving, moving_kind)?;
-        self.dir_durable(blk)?;
-        self.write_inode(ndir, &ninode, grew)?;
-        if ndir == odir {
-            oinode = self.require_dir(odir)?;
-        }
-        let (blk, _, _) = self.dir_remove(odir, &mut oinode, oname)?;
-        self.write_inode(odir, &oinode, false)?;
-        self.dir_durable(blk)?;
-        // Directory moved across parents: fix nlink bookkeeping.
-        if moving_kind == FileKind::Dir && odir != ndir {
-            let mut o = self.require_dir(odir)?;
-            o.nlink = o.nlink.saturating_sub(1);
-            self.write_inode(odir, &o, false)?;
-            let mut n = self.require_dir(ndir)?;
-            n.nlink += 1;
-            self.write_inode(ndir, &n, false)?;
-        }
-        Ok(moving)
-    }
-
-    fn read(&mut self, ino: Ino, off: u64, buf: &mut [u8]) -> FsResult<usize> {
-        let _span = self.op_span(OpKind::Read);
-        self.charge(self.cpu.syscall);
-        let mut inode = self.read_inode(ino)?;
-        if inode.kind == FileKind::Dir {
-            return Err(FsError::IsDir);
-        }
-        if off >= inode.size {
-            return Ok(0);
-        }
-        let want = buf.len().min((inode.size - off) as usize);
-        let mut done = 0usize;
-        while done < want {
-            let pos = off + done as u64;
-            let lbn = pos / BLOCK_SIZE as u64;
-            let in_blk = (pos % BLOCK_SIZE as u64) as usize;
-            let n = (BLOCK_SIZE - in_blk).min(want - done);
-            // Logical index first (skips bmap on a hit), then bmap.
-            let blk = match self.cache.lookup_logical(ino, lbn) {
-                Some(b) => Some(b),
-                None => self.bmap(ino, &mut inode, lbn, false)?,
-            };
-            match blk {
-                Some(b) => {
-                    let data = self.cache.read_block_bound(&self.drv, b, ino, lbn)?;
-                    buf[done..done + n].copy_from_slice(&data[in_blk..in_blk + n]);
-                }
-                None => buf[done..done + n].fill(0),
-            }
-            self.charge(self.cpu.copy_cost(n));
-            done += n;
-        }
-        Ok(done)
-    }
-
-    fn write(&mut self, ino: Ino, off: u64, data: &[u8]) -> FsResult<usize> {
-        let _span = self.op_span(OpKind::Write);
-        self.charge(self.cpu.syscall);
-        if data.is_empty() {
-            return Ok(0);
-        }
-        if off + data.len() as u64 > MAX_FILE_SIZE {
-            return Err(FsError::FileTooBig);
-        }
-        let mut inode = self.read_inode(ino)?;
-        if inode.kind == FileKind::Dir {
-            return Err(FsError::IsDir);
-        }
-        let mut done = 0usize;
-        while done < data.len() {
-            let pos = off + done as u64;
-            let lbn = pos / BLOCK_SIZE as u64;
-            let in_blk = (pos % BLOCK_SIZE as u64) as usize;
-            let n = (BLOCK_SIZE - in_blk).min(data.len() - done);
-            let had_block = self.cache.lookup_logical(ino, lbn).is_some()
-                || self.bmap(ino, &mut inode, lbn, false)?.is_some();
-            let blk = self.bmap(ino, &mut inode, lbn, true)?.ok_or(FsError::NoSpace)?;
-            // Whole-block overwrites (and fresh blocks) skip the read.
-            let read_first = had_block && n < BLOCK_SIZE;
-            let src = &data[done..done + n];
-            self.cache
-                .modify_block_bound(&self.drv, blk, ino, lbn, read_first, |d| {
-                    if !read_first && n < BLOCK_SIZE {
-                        d.fill(0);
-                    }
-                    d[in_blk..in_blk + n].copy_from_slice(src);
-                })?;
-            self.charge(self.cpu.copy_cost(n));
-            done += n;
-        }
-        inode.size = inode.size.max(off + done as u64);
-        self.write_inode(ino, &inode, false)?;
-        Ok(done)
-    }
-
-    fn truncate(&mut self, ino: Ino, size: u64) -> FsResult<()> {
-        let _span = self.op_span(OpKind::Truncate);
-        self.charge(self.cpu.syscall);
-        if size > MAX_FILE_SIZE {
-            return Err(FsError::FileTooBig);
-        }
-        let mut inode = self.read_inode(ino)?;
-        if inode.kind == FileKind::Dir {
-            return Err(FsError::IsDir);
-        }
-        if size < inode.size {
-            let keep = size.div_ceil(BLOCK_SIZE as u64);
-            self.free_blocks_from(ino, &mut inode, keep)?;
-            // Zero the tail of the (possibly kept) final partial block so
-            // a later extension reads zeros.
-            if !size.is_multiple_of(BLOCK_SIZE as u64) {
-                let lbn = size / BLOCK_SIZE as u64;
-                if let Some(blk) = self.bmap(ino, &mut inode, lbn, false)? {
-                    let cut = (size % BLOCK_SIZE as u64) as usize;
-                    self.cache.modify_block_bound(&self.drv, blk, ino, lbn, true, |d| {
-                        d[cut..].fill(0)
-                    })?;
-                }
-            }
-        }
-        inode.size = size;
-        self.write_inode(ino, &inode, false)?;
-        Ok(())
-    }
-
-    fn readdir(&mut self, dirino: Ino) -> FsResult<Vec<DirEntry>> {
-        let _span = self.op_span(OpKind::Readdir);
-        self.charge(self.cpu.syscall);
+    /// The body of `readdir`: a directory's entries, sorted by name.
+    fn list_dir(&mut self, dirino: Ino) -> FsResult<Vec<DirEntry>> {
         let mut inode = self.require_dir(dirino)?;
         let nblocks = inode.size / BLOCK_SIZE as u64;
         let mut out = Vec::new();
@@ -900,14 +596,201 @@ impl FileSystem for Ffs {
         Ok(out)
     }
 
-    fn sync(&mut self) -> FsResult<()> {
-        let _span = self.op_span(OpKind::Sync);
+    /// Shared tail of unlink/rename-replace: drop one link from `ino`,
+    /// freeing it when the count hits zero. The name is already gone.
+    fn drop_file_link(&mut self, ino: Ino) -> FsResult<()> {
+        let mut inode = self.read_inode(ino)?;
+        inode.nlink -= 1;
+        if inode.nlink == 0 {
+            self.free_blocks_from(ino, &mut inode, 0)?;
+            self.clear_inode(ino, true)?;
+            self.charge(self.cpu.alloc_op);
+            self.alloc.free_inode(&self.fs.sb, ino, false);
+        } else {
+            self.write_inode(ino, &inode, true)?;
+        }
+        Ok(())
+    }
+}
+
+impl ConcurrentFs for Ffs {
+    fn label(&self) -> &str {
+        &self.label
+    }
+
+    fn root(&self) -> Ino {
+        INO_ROOT
+    }
+
+    fn lookup(&self, dirino: Ino, name: &str) -> FsResult<Ino> {
+        let mut op = self.begin(OpKind::Lookup);
+        self.charge(self.cpu.syscall);
+        check_name(name)?;
+        let mut inode = self.require_dir(dirino)?;
+        match op.dir_find(dirino, &mut inode, name)? {
+            Some((_, e)) => Ok(e.ino as Ino),
+            None => Err(FsError::NotFound),
+        }
+    }
+
+    fn getattr(&self, ino: Ino) -> FsResult<Attr> {
+        let _op = self.begin(OpKind::Getattr);
+        self.charge(self.cpu.syscall);
+        let inode = self.read_inode(ino)?;
+        Ok(Attr {
+            ino,
+            kind: inode.kind,
+            size: inode.size,
+            nlink: inode.nlink as u32,
+            blocks: inode.blocks as u64,
+        })
+    }
+
+    fn create(&self, dirino: Ino, name: &str) -> FsResult<Ino> {
+        let mut op = self.begin(OpKind::Create);
+        self.charge(self.cpu.syscall);
+        check_name(name)?;
+        let mut dinode = self.require_dir(dirino)?;
+        if op.dir_find(dirino, &mut dinode, name)?.is_some() {
+            return Err(FsError::Exists);
+        }
+        self.charge(self.cpu.alloc_op);
+        let ino = op.alloc.alloc_inode(&self.sb, FileKind::File, self.ino_cg(dirino))?;
+        let inode = Inode::new(FileKind::File);
+        // Ordering: inode first (synchronously), then the name.
+        self.write_inode(ino, &inode, true)?;
+        let (blk, grew) = op.dir_insert(dirino, &mut dinode, name, ino, FileKind::File)?;
+        self.dir_durable(blk)?;
+        self.write_inode(dirino, &dinode, grew)?;
+        Ok(ino)
+    }
+
+    fn mkdir(&self, dirino: Ino, name: &str) -> FsResult<Ino> {
+        let mut op = self.begin(OpKind::Mkdir);
+        self.charge(self.cpu.syscall);
+        check_name(name)?;
+        let mut dinode = self.require_dir(dirino)?;
+        if op.dir_find(dirino, &mut dinode, name)?.is_some() {
+            return Err(FsError::Exists);
+        }
+        self.charge(self.cpu.alloc_op);
+        let ino = op.alloc.alloc_inode(&self.sb, FileKind::Dir, self.ino_cg(dirino))?;
+        let mut inode = Inode::new(FileKind::Dir);
+        inode.nlink = 2;
+        self.write_inode(ino, &inode, true)?;
+        let (blk, grew) = op.dir_insert(dirino, &mut dinode, name, ino, FileKind::Dir)?;
+        dinode.nlink += 1;
+        self.dir_durable(blk)?;
+        self.write_inode(dirino, &dinode, grew)?;
+        Ok(ino)
+    }
+
+    fn unlink(&self, dirino: Ino, name: &str) -> FsResult<()> {
+        let mut op = self.begin(OpKind::Unlink);
+        self.charge(self.cpu.syscall);
+        check_name(name)?;
+        let mut dinode = self.require_dir(dirino)?;
+        let Some((_, entry)) = op.dir_find(dirino, &mut dinode, name)? else {
+            return Err(FsError::NotFound);
+        };
+        if entry.kind == FileKind::Dir {
+            return Err(FsError::IsDir);
+        }
+        // Ordering: name removal hits the disk before the inode is freed.
+        let (blk, ino, _) = op.dir_remove(dirino, &mut dinode, name)?;
+        self.dir_durable(blk)?;
+        op.drop_file_link(ino)
+    }
+
+    fn read(&self, ino: Ino, off: u64, buf: &mut [u8]) -> FsResult<usize> {
+        let mut op = self.begin(OpKind::Read);
+        self.charge(self.cpu.syscall);
+        let mut inode = self.read_inode(ino)?;
+        if inode.kind == FileKind::Dir {
+            return Err(FsError::IsDir);
+        }
+        if off >= inode.size {
+            return Ok(0);
+        }
+        let want = buf.len().min((inode.size - off) as usize);
+        let mut done = 0usize;
+        while done < want {
+            let pos = off + done as u64;
+            let lbn = pos / BLOCK_SIZE as u64;
+            let in_blk = (pos % BLOCK_SIZE as u64) as usize;
+            let n = (BLOCK_SIZE - in_blk).min(want - done);
+            // Logical index first (skips bmap on a hit), then bmap.
+            let blk = match self.cache.lookup_logical(ino, lbn) {
+                Some(b) => Some(b),
+                None => op.bmap(ino, &mut inode, lbn, false)?,
+            };
+            match blk {
+                Some(b) => {
+                    let data = self.cache.read_block_bound(&self.drv, b, ino, lbn)?;
+                    buf[done..done + n].copy_from_slice(&data[in_blk..in_blk + n]);
+                }
+                None => buf[done..done + n].fill(0),
+            }
+            self.charge(self.cpu.copy_cost(n));
+            done += n;
+        }
+        Ok(done)
+    }
+
+    fn write(&self, ino: Ino, off: u64, data: &[u8]) -> FsResult<usize> {
+        let mut op = self.begin(OpKind::Write);
+        self.charge(self.cpu.syscall);
+        if data.is_empty() {
+            return Ok(0);
+        }
+        if off + data.len() as u64 > MAX_FILE_SIZE {
+            return Err(FsError::FileTooBig);
+        }
+        let mut inode = self.read_inode(ino)?;
+        if inode.kind == FileKind::Dir {
+            return Err(FsError::IsDir);
+        }
+        let mut done = 0usize;
+        while done < data.len() {
+            let pos = off + done as u64;
+            let lbn = pos / BLOCK_SIZE as u64;
+            let in_blk = (pos % BLOCK_SIZE as u64) as usize;
+            let n = (BLOCK_SIZE - in_blk).min(data.len() - done);
+            let had_block = self.cache.lookup_logical(ino, lbn).is_some()
+                || op.bmap(ino, &mut inode, lbn, false)?.is_some();
+            let blk = op.bmap(ino, &mut inode, lbn, true)?.ok_or(FsError::NoSpace)?;
+            // Whole-block overwrites (and fresh blocks) skip the read.
+            let read_first = had_block && n < BLOCK_SIZE;
+            let src = &data[done..done + n];
+            self.cache
+                .modify_block_bound(&self.drv, blk, ino, lbn, read_first, |d| {
+                    if !read_first && n < BLOCK_SIZE {
+                        d.fill(0);
+                    }
+                    d[in_blk..in_blk + n].copy_from_slice(src);
+                })?;
+            self.charge(self.cpu.copy_cost(n));
+            done += n;
+        }
+        inode.size = inode.size.max(off + done as u64);
+        self.write_inode(ino, &inode, false)?;
+        Ok(done)
+    }
+
+    fn readdir(&self, dirino: Ino) -> FsResult<Vec<DirEntry>> {
+        let mut op = self.begin(OpKind::Readdir);
+        self.charge(self.cpu.syscall);
+        op.list_dir(dirino)
+    }
+
+    fn sync(&self) -> FsResult<()> {
+        let mut op = self.begin(OpKind::Sync);
         self.charge(self.cpu.syscall);
         // Persist dirty cylinder-group headers and the superblock, then
         // flush the whole cache as one scheduled batch.
         let sb = self.sb.clone();
         let mut blocks: Vec<(u64, Vec<u8>)> = Vec::new();
-        self.alloc.flush_dirty(|cg, hdr| {
+        op.alloc.flush_dirty(|cg, hdr| {
             let mut img = vec![0u8; BLOCK_SIZE];
             hdr.write_to(&mut img);
             blocks.push((sb.cg_header_block(cg), img));
@@ -923,23 +806,198 @@ impl FileSystem for Ffs {
         self.cache.sync(&self.drv)
     }
 
-    fn statfs(&mut self) -> FsResult<StatFs> {
-        let _span = self.op_span(OpKind::Statfs);
-        Ok(StatFs {
-            block_size: BLOCK_SIZE as u32,
-            total_blocks: self.sb.total_blocks,
-            free_blocks: self.alloc.free_blocks(),
-            group_slack_blocks: 0,
-            total_inodes: self.sb.total_inodes(),
-            free_inodes: self.alloc.free_inodes(),
-        })
-    }
-
     fn now(&self) -> SimTime {
         self.drv.now()
     }
 
-    fn drop_caches(&mut self) -> FsResult<()> {
+    fn obs(&self) -> Option<Arc<Obs>> {
+        Some(Ffs::obs(self))
+    }
+}
+
+impl FileSystem for Ffs {
+    fn rmdir(&self, dirino: Ino, name: &str) -> FsResult<()> {
+        let mut op = self.begin(OpKind::Rmdir);
+        self.charge(self.cpu.syscall);
+        check_name(name)?;
+        let mut dinode = self.require_dir(dirino)?;
+        let Some((_, entry)) = op.dir_find(dirino, &mut dinode, name)? else {
+            return Err(FsError::NotFound);
+        };
+        if entry.kind != FileKind::Dir {
+            return Err(FsError::NotDir);
+        }
+        let child = entry.ino as Ino;
+        let mut cinode = self.require_dir(child)?;
+        if !op.dir_is_empty(child, &mut cinode)? {
+            return Err(FsError::DirNotEmpty);
+        }
+        let (blk, _, _) = op.dir_remove(dirino, &mut dinode, name)?;
+        self.dir_durable(blk)?;
+        op.free_blocks_from(child, &mut cinode, 0)?;
+        self.clear_inode(child, true)?;
+        self.charge(self.cpu.alloc_op);
+        op.alloc.free_inode(&self.sb, child, true);
+        dinode.nlink = dinode.nlink.saturating_sub(1);
+        self.write_inode(dirino, &dinode, false)?;
+        Ok(())
+    }
+
+    fn link(&self, target: Ino, dirino: Ino, name: &str) -> FsResult<Ino> {
+        let mut op = self.begin(OpKind::Link);
+        self.charge(self.cpu.syscall);
+        check_name(name)?;
+        let mut tinode = self.read_inode(target)?;
+        if tinode.kind == FileKind::Dir {
+            return Err(FsError::IsDir);
+        }
+        if tinode.nlink == u16::MAX {
+            return Err(FsError::TooManyLinks);
+        }
+        let mut dinode = self.require_dir(dirino)?;
+        if op.dir_find(dirino, &mut dinode, name)?.is_some() {
+            return Err(FsError::Exists);
+        }
+        tinode.nlink += 1;
+        self.write_inode(target, &tinode, true)?;
+        let (blk, grew) = op.dir_insert(dirino, &mut dinode, name, target, FileKind::File)?;
+        self.dir_durable(blk)?;
+        self.write_inode(dirino, &dinode, grew)?;
+        Ok(target)
+    }
+
+    fn rename(&self, odir: Ino, oname: &str, ndir: Ino, nname: &str) -> FsResult<Ino> {
+        let mut op = self.begin(OpKind::Rename);
+        self.charge(self.cpu.syscall);
+        check_name(oname)?;
+        check_name(nname)?;
+        let mut oinode = self.require_dir(odir)?;
+        let Some((_, entry)) = op.dir_find(odir, &mut oinode, oname)? else {
+            return Err(FsError::NotFound);
+        };
+        let moving = entry.ino as Ino;
+        let moving_kind = entry.kind;
+        if odir == ndir && oname == nname {
+            return Ok(moving);
+        }
+        // A directory changing parent must not land in its own subtree.
+        if moving_kind == FileKind::Dir && odir != ndir {
+            let subdirs = |d| {
+                let dirs = op.list_dir(d)?.into_iter().filter(|e| e.kind == FileKind::Dir);
+                Ok(dirs.map(|e| e.ino).collect())
+            };
+            if subtree_contains(moving, ndir, subdirs)? {
+                return Err(FsError::InvalidArg);
+            }
+        }
+        let mut ninode = if ndir == odir { oinode.clone() } else { self.require_dir(ndir)? };
+        // Handle an existing destination.
+        if let Some((_, dst)) = op.dir_find(ndir, &mut ninode, nname)? {
+            let dst_ino = dst.ino as Ino;
+            if dst_ino == moving {
+                // Hard link to the same object: drop the old name only.
+                if ndir == odir {
+                    oinode = ninode;
+                }
+                let (blk, ino, _) = op.dir_remove(odir, &mut oinode, oname)?;
+                self.write_inode(odir, &oinode, false)?;
+                self.dir_durable(blk)?;
+                op.drop_file_link(ino)?;
+                return Ok(moving);
+            }
+            match dst.kind {
+                FileKind::Dir => {
+                    if moving_kind != FileKind::Dir {
+                        return Err(FsError::IsDir);
+                    }
+                    let mut dnode = self.require_dir(dst_ino)?;
+                    if !op.dir_is_empty(dst_ino, &mut dnode)? {
+                        return Err(FsError::DirNotEmpty);
+                    }
+                    let (blk, _, _) = op.dir_remove(ndir, &mut ninode, nname)?;
+                    self.dir_durable(blk)?;
+                    op.free_blocks_from(dst_ino, &mut dnode, 0)?;
+                    self.clear_inode(dst_ino, true)?;
+                    self.charge(self.cpu.alloc_op);
+                    op.alloc.free_inode(&self.sb, dst_ino, true);
+                    ninode.nlink = ninode.nlink.saturating_sub(1);
+                }
+                FileKind::File => {
+                    if moving_kind == FileKind::Dir {
+                        return Err(FsError::NotDir);
+                    }
+                    let (blk, ino, _) = op.dir_remove(ndir, &mut ninode, nname)?;
+                    self.dir_durable(blk)?;
+                    op.drop_file_link(ino)?;
+                }
+            }
+        }
+        // Insert the new name first, then remove the old one: a crash in
+        // between leaves an extra name, never a lost file.
+        let (blk, grew) = op.dir_insert(ndir, &mut ninode, nname, moving, moving_kind)?;
+        self.dir_durable(blk)?;
+        self.write_inode(ndir, &ninode, grew)?;
+        if ndir == odir {
+            oinode = self.require_dir(odir)?;
+        }
+        let (blk, _, _) = op.dir_remove(odir, &mut oinode, oname)?;
+        self.write_inode(odir, &oinode, false)?;
+        self.dir_durable(blk)?;
+        // Directory moved across parents: fix nlink bookkeeping.
+        if moving_kind == FileKind::Dir && odir != ndir {
+            let mut o = self.require_dir(odir)?;
+            o.nlink = o.nlink.saturating_sub(1);
+            self.write_inode(odir, &o, false)?;
+            let mut n = self.require_dir(ndir)?;
+            n.nlink += 1;
+            self.write_inode(ndir, &n, false)?;
+        }
+        Ok(moving)
+    }
+
+    fn truncate(&self, ino: Ino, size: u64) -> FsResult<()> {
+        let mut op = self.begin(OpKind::Truncate);
+        self.charge(self.cpu.syscall);
+        if size > MAX_FILE_SIZE {
+            return Err(FsError::FileTooBig);
+        }
+        let mut inode = self.read_inode(ino)?;
+        if inode.kind == FileKind::Dir {
+            return Err(FsError::IsDir);
+        }
+        if size < inode.size {
+            let keep = size.div_ceil(BLOCK_SIZE as u64);
+            op.free_blocks_from(ino, &mut inode, keep)?;
+            // Zero the tail of the (possibly kept) final partial block so
+            // a later extension reads zeros.
+            if !size.is_multiple_of(BLOCK_SIZE as u64) {
+                let lbn = size / BLOCK_SIZE as u64;
+                if let Some(blk) = op.bmap(ino, &mut inode, lbn, false)? {
+                    let cut = (size % BLOCK_SIZE as u64) as usize;
+                    self.cache.modify_block_bound(&self.drv, blk, ino, lbn, true, |d| {
+                        d[cut..].fill(0)
+                    })?;
+                }
+            }
+        }
+        inode.size = size;
+        self.write_inode(ino, &inode, false)?;
+        Ok(())
+    }
+
+    fn statfs(&self) -> FsResult<StatFs> {
+        let op = self.begin(OpKind::Statfs);
+        Ok(StatFs {
+            block_size: BLOCK_SIZE as u32,
+            total_blocks: self.sb.total_blocks,
+            free_blocks: op.alloc.free_blocks(),
+            group_slack_blocks: 0,
+            total_inodes: self.sb.total_inodes(),
+            free_inodes: op.alloc.free_inodes(),
+        })
+    }
+
+    fn drop_caches(&self) -> FsResult<()> {
         let _span = self.op_span(OpKind::DropCaches);
         self.sync()?;
         self.cache.drop_all(&self.drv)?;
@@ -949,10 +1007,6 @@ impl FileSystem for Ffs {
 
     fn cpu_model(&self) -> CpuModel {
         self.cpu
-    }
-
-    fn obs(&self) -> Option<Arc<Obs>> {
-        Some(Ffs::obs(self))
     }
 }
 
@@ -970,7 +1024,7 @@ mod tests {
 
     #[test]
     fn create_write_read_cycle() {
-        let mut fs = fresh();
+        let fs = fresh();
         let f = fs.create(fs.root(), "a").unwrap();
         fs.write(f, 0, b"hello ffs").unwrap();
         let mut buf = [0u8; 9];
@@ -982,7 +1036,7 @@ mod tests {
 
     #[test]
     fn sparse_and_indirect_files() {
-        let mut fs = fresh();
+        let fs = fresh();
         let f = fs.create(fs.root(), "s").unwrap();
         // Past the direct range (12 blocks).
         let off = 14 * BLOCK_SIZE as u64 + 100;
@@ -998,7 +1052,7 @@ mod tests {
 
     #[test]
     fn double_indirect_and_truncate_releases_space() {
-        let mut fs = fresh();
+        let fs = fresh();
         let f = fs.create(fs.root(), "big").unwrap();
         let off = (12 + 1024 + 3) * BLOCK_SIZE as u64;
         fs.write(f, off, b"way out").unwrap();
@@ -1011,7 +1065,7 @@ mod tests {
 
     #[test]
     fn inode_exhaustion_yields_noinodes() {
-        let mut fs = fresh();
+        let fs = fresh();
         let root = fs.root();
         let d = fs.mkdir(root, "d").unwrap();
         let mut n = 0u64;
@@ -1034,7 +1088,7 @@ mod tests {
 
     #[test]
     fn hard_links_and_rename_share_inode() {
-        let mut fs = fresh();
+        let fs = fresh();
         let root = fs.root();
         let f = fs.create(root, "a").unwrap();
         fs.write(f, 0, b"shared").unwrap();
@@ -1050,7 +1104,7 @@ mod tests {
 
     #[test]
     fn dir_spreading_policy_visible() {
-        let mut fs = fresh();
+        let fs = fresh();
         let root = fs.root();
         let mut cgs = std::collections::HashSet::new();
         let ipg = fs.superblock().inodes_per_cg as u64;
@@ -1063,7 +1117,7 @@ mod tests {
 
     #[test]
     fn file_inodes_follow_their_directory() {
-        let mut fs = fresh();
+        let fs = fresh();
         let root = fs.root();
         let ipg = fs.superblock().inodes_per_cg as u64;
         let d = fs.mkdir(root, "d").unwrap();
@@ -1075,7 +1129,7 @@ mod tests {
 
     #[test]
     fn sync_metadata_costs_two_writes_per_create() {
-        let mut fs = fresh();
+        let fs = fresh();
         let root = fs.root();
         let d = fs.mkdir(root, "d").unwrap();
         fs.sync().unwrap();
@@ -1092,17 +1146,17 @@ mod tests {
 
     #[test]
     fn remount_preserves_content() {
-        let mut fs = fresh();
-        path::mkdir_p(&mut fs, "/x/y").unwrap();
-        path::write_file(&mut fs, "/x/y/z.txt", &vec![3u8; 20_000]).unwrap();
+        let fs = fresh();
+        path::mkdir_p(&fs, "/x/y").unwrap();
+        path::write_file(&fs, "/x/y/z.txt", &vec![3u8; 20_000]).unwrap();
         let disk = fs.unmount().unwrap();
-        let mut fs = Ffs::mount(disk, FfsOptions::default()).unwrap();
-        assert_eq!(path::read_file(&mut fs, "/x/y/z.txt").unwrap(), vec![3u8; 20_000]);
+        let fs = Ffs::mount(disk, FfsOptions::default()).unwrap();
+        assert_eq!(path::read_file(&fs, "/x/y/z.txt").unwrap(), vec![3u8; 20_000]);
     }
 
     #[test]
     fn rmdir_semantics() {
-        let mut fs = fresh();
+        let fs = fresh();
         let root = fs.root();
         let d = fs.mkdir(root, "d").unwrap();
         fs.create(d, "f").unwrap();
@@ -1116,7 +1170,7 @@ mod tests {
 
     #[test]
     fn overwrite_middle_of_file() {
-        let mut fs = fresh();
+        let fs = fresh();
         let f = fs.create(fs.root(), "m").unwrap();
         fs.write(f, 0, &vec![1u8; 10_000]).unwrap();
         fs.write(f, 4000, &vec![2u8; 1000]).unwrap();

@@ -4,18 +4,20 @@
 //!
 //! Shared file-system infrastructure for the C-FFS reproduction:
 //!
-//! * [`vfs::FileSystem`] — the trait every implementation (classic FFS, the
-//!   four C-FFS variants, and the in-memory oracle) exposes; benchmarks and
-//!   integration tests are written against it.
+//! * [`vfs::ConcurrentFs`] and its extension [`vfs::FileSystem`] — the one
+//!   `&self` trait hierarchy every implementation (classic FFS, the four
+//!   C-FFS variants, and the in-memory oracle) exposes; a volume set
+//!   implements the base. Benchmarks, workloads and integration tests are
+//!   written against it.
 //! * [`error::FsError`] — the common error type.
 //! * [`bitmap::Bitmap`] — block/inode bitmaps with contiguous-run search
 //!   (explicit grouping needs 16-block extents).
 //! * [`cpu::CpuModel`] — per-operation CPU costs charged to the simulated
 //!   clock, calibrated to the paper's 120 MHz Pentium testbed.
-//! * [`path`] — `mkdir -p` / read / write convenience helpers over any
-//!   `FileSystem`.
+//! * [`path`] — `mkdir -p` / read / write convenience helpers over either
+//!   trait.
 //! * [`model::ModelFs`] — a HashMap-backed reference implementation used as
-//!   the oracle in property tests.
+//!   the oracle in property and threaded tests.
 //! * [`codec`] — little-endian on-disk integer codecs.
 
 pub mod bitmap;

@@ -1,14 +1,11 @@
-//! Path-level convenience helpers over any [`FileSystem`].
+//! Path-level convenience helpers over the file-system traits.
 //!
-//! The trait works on `(directory inode, name)` pairs, like a kernel VFS.
+//! The traits work on `(directory inode, name)` pairs, like a kernel VFS.
 //! Workloads and examples want `"/usr/src/lib/io.c"`-style paths; these
-//! helpers provide that layer.
-//!
-//! The `*_c` variants take `&self` over [`ConcurrentFs`], so threaded
-//! workloads can resolve paths against one shared instance. They cover
-//! the concurrent trait's narrower surface: [`write_file_c`] has no
-//! truncate, so overwriting an existing *longer* file keeps its tail —
-//! fine for the fixed-size records every threaded workload writes.
+//! helpers provide that layer. Helpers that need only base operations
+//! take any [`ConcurrentFs`] (a volume set included) and are safe to call
+//! from many threads at once; [`write_file`] (it truncates) and
+//! [`remove_tree`] (it needs `rmdir`) take a [`FileSystem`].
 
 use crate::error::{FsError, FsResult};
 use crate::vfs::{ConcurrentFs, FileKind, FileSystem, Ino};
@@ -19,7 +16,7 @@ pub fn components(path: &str) -> Vec<&str> {
 }
 
 /// Resolve a path to an inode.
-pub fn resolve(fs: &mut (impl FileSystem + ?Sized), path: &str) -> FsResult<Ino> {
+pub fn resolve(fs: &(impl ConcurrentFs + ?Sized), path: &str) -> FsResult<Ino> {
     let mut cur = fs.root();
     for c in components(path) {
         cur = fs.lookup(cur, c)?;
@@ -29,7 +26,7 @@ pub fn resolve(fs: &mut (impl FileSystem + ?Sized), path: &str) -> FsResult<Ino>
 
 /// Resolve the parent directory of a path; returns `(parent_ino, leaf_name)`.
 pub fn resolve_parent<'p>(
-    fs: &mut (impl FileSystem + ?Sized),
+    fs: &(impl ConcurrentFs + ?Sized),
     path: &'p str,
 ) -> FsResult<(Ino, &'p str)> {
     let comps = components(path);
@@ -42,8 +39,10 @@ pub fn resolve_parent<'p>(
 }
 
 /// `mkdir -p`: create every missing directory along `path`; returns the
-/// final directory's inode.
-pub fn mkdir_p(fs: &mut (impl FileSystem + ?Sized), path: &str) -> FsResult<Ino> {
+/// final directory's inode. Loses no race: a concurrent creator of the
+/// same component turns this thread's `mkdir` into `Exists`, which
+/// resolves to the winner's directory.
+pub fn mkdir_p(fs: &(impl ConcurrentFs + ?Sized), path: &str) -> FsResult<Ino> {
     let mut cur = fs.root();
     for c in components(path) {
         cur = match fs.lookup(cur, c) {
@@ -53,7 +52,11 @@ pub fn mkdir_p(fs: &mut (impl FileSystem + ?Sized), path: &str) -> FsResult<Ino>
                 }
                 ino
             }
-            Err(FsError::NotFound) => fs.mkdir(cur, c)?,
+            Err(FsError::NotFound) => match fs.mkdir(cur, c) {
+                Ok(ino) => ino,
+                Err(FsError::Exists) => fs.lookup(cur, c)?,
+                Err(e) => return Err(e),
+            },
             Err(e) => return Err(e),
         };
     }
@@ -62,7 +65,7 @@ pub fn mkdir_p(fs: &mut (impl FileSystem + ?Sized), path: &str) -> FsResult<Ino>
 
 /// Create (or truncate) the file at `path` and write `data` to it.
 /// Returns the file's inode.
-pub fn write_file(fs: &mut (impl FileSystem + ?Sized), path: &str, data: &[u8]) -> FsResult<Ino> {
+pub fn write_file(fs: &(impl FileSystem + ?Sized), path: &str, data: &[u8]) -> FsResult<Ino> {
     let (dir, name) = resolve_parent(fs, path)?;
     let ino = match fs.lookup(dir, name) {
         Ok(existing) => {
@@ -84,13 +87,13 @@ pub fn write_file(fs: &mut (impl FileSystem + ?Sized), path: &str, data: &[u8]) 
 }
 
 /// Read the whole file at `path`.
-pub fn read_file(fs: &mut (impl FileSystem + ?Sized), path: &str) -> FsResult<Vec<u8>> {
+pub fn read_file(fs: &(impl ConcurrentFs + ?Sized), path: &str) -> FsResult<Vec<u8>> {
     let ino = resolve(fs, path)?;
     read_all(fs, ino)
 }
 
 /// Read the whole file with inode `ino`.
-pub fn read_all(fs: &mut (impl FileSystem + ?Sized), ino: Ino) -> FsResult<Vec<u8>> {
+pub fn read_all(fs: &(impl ConcurrentFs + ?Sized), ino: Ino) -> FsResult<Vec<u8>> {
     let size = fs.getattr(ino)?.size as usize;
     let mut out = vec![0u8; size];
     let mut off = 0usize;
@@ -106,21 +109,21 @@ pub fn read_all(fs: &mut (impl FileSystem + ?Sized), ino: Ino) -> FsResult<Vec<u
 }
 
 /// Remove the file at `path`.
-pub fn remove_file(fs: &mut (impl FileSystem + ?Sized), path: &str) -> FsResult<()> {
+pub fn remove_file(fs: &(impl ConcurrentFs + ?Sized), path: &str) -> FsResult<()> {
     let (dir, name) = resolve_parent(fs, path)?;
     fs.unlink(dir, name)
 }
 
 /// Recursively delete a directory tree rooted at `path` (like `rm -rf`,
 /// but failing on errors rather than ignoring them).
-pub fn remove_tree(fs: &mut (impl FileSystem + ?Sized), path: &str) -> FsResult<()> {
+pub fn remove_tree(fs: &(impl FileSystem + ?Sized), path: &str) -> FsResult<()> {
     let (parent, name) = resolve_parent(fs, path)?;
     let ino = fs.lookup(parent, name)?;
     remove_tree_inner(fs, ino)?;
     fs.rmdir(parent, name)
 }
 
-fn remove_tree_inner(fs: &mut (impl FileSystem + ?Sized), dir: Ino) -> FsResult<()> {
+fn remove_tree_inner(fs: &(impl FileSystem + ?Sized), dir: Ino) -> FsResult<()> {
     for e in fs.readdir(dir)? {
         match e.kind {
             FileKind::File => fs.unlink(dir, &e.name)?,
@@ -136,7 +139,7 @@ fn remove_tree_inner(fs: &mut (impl FileSystem + ?Sized), dir: Ino) -> FsResult<
 /// Walk a tree depth-first, invoking `visit(path, ino, kind)` for every
 /// entry below `root_path`.
 pub fn walk(
-    fs: &mut (impl FileSystem + ?Sized),
+    fs: &(impl ConcurrentFs + ?Sized),
     root_path: &str,
     visit: &mut dyn FnMut(&str, Ino, FileKind),
 ) -> FsResult<()> {
@@ -146,7 +149,7 @@ pub fn walk(
 }
 
 fn walk_inner(
-    fs: &mut (impl FileSystem + ?Sized),
+    fs: &(impl ConcurrentFs + ?Sized),
     dir: Ino,
     prefix: &str,
     visit: &mut dyn FnMut(&str, Ino, FileKind),
@@ -159,111 +162,6 @@ fn walk_inner(
         }
     }
     Ok(())
-}
-
-// ----- `&self` variants over the concurrent surface ---------------------
-
-/// Resolve a path to an inode — [`resolve`] over [`ConcurrentFs`].
-pub fn resolve_c(fs: &(impl ConcurrentFs + ?Sized), path: &str) -> FsResult<Ino> {
-    let mut cur = fs.root();
-    for c in components(path) {
-        cur = fs.lookup(cur, c)?;
-    }
-    Ok(cur)
-}
-
-/// Resolve the parent directory of a path; returns `(parent_ino,
-/// leaf_name)` — [`resolve_parent`] over [`ConcurrentFs`].
-pub fn resolve_parent_c<'p>(
-    fs: &(impl ConcurrentFs + ?Sized),
-    path: &'p str,
-) -> FsResult<(Ino, &'p str)> {
-    let comps = components(path);
-    let (leaf, dirs) = comps.split_last().ok_or(FsError::InvalidArg)?;
-    let mut cur = fs.root();
-    for c in dirs {
-        cur = fs.lookup(cur, c)?;
-    }
-    Ok((cur, leaf))
-}
-
-/// `mkdir -p` over [`ConcurrentFs`]. Loses no race: a concurrent
-/// creator of the same component turns this thread's `mkdir` into
-/// `Exists`, which resolves to the winner's directory.
-pub fn mkdir_p_c(fs: &(impl ConcurrentFs + ?Sized), path: &str) -> FsResult<Ino> {
-    let mut cur = fs.root();
-    for c in components(path) {
-        cur = match fs.lookup(cur, c) {
-            Ok(ino) => {
-                if fs.getattr(ino)?.kind != FileKind::Dir {
-                    return Err(FsError::NotDir);
-                }
-                ino
-            }
-            Err(FsError::NotFound) => match fs.mkdir(cur, c) {
-                Ok(ino) => ino,
-                Err(FsError::Exists) => fs.lookup(cur, c)?,
-                Err(e) => return Err(e),
-            },
-            Err(e) => return Err(e),
-        };
-    }
-    Ok(cur)
-}
-
-/// Create-or-overwrite the file at `path` with `data`, returning its
-/// inode. Unlike [`write_file`] this cannot truncate (the concurrent
-/// trait has no `truncate`), so a pre-existing file longer than `data`
-/// keeps its tail beyond `data.len()`.
-pub fn write_file_c(fs: &(impl ConcurrentFs + ?Sized), path: &str, data: &[u8]) -> FsResult<Ino> {
-    let (dir, name) = resolve_parent_c(fs, path)?;
-    let ino = match fs.lookup(dir, name) {
-        Ok(existing) => existing,
-        Err(FsError::NotFound) => match fs.create(dir, name) {
-            Ok(ino) => ino,
-            Err(FsError::Exists) => fs.lookup(dir, name)?,
-            Err(e) => return Err(e),
-        },
-        Err(e) => return Err(e),
-    };
-    let mut off = 0u64;
-    while (off as usize) < data.len() {
-        let n = fs.write(ino, off, &data[off as usize..])?;
-        if n == 0 {
-            return Err(FsError::Io("short write".into()));
-        }
-        off += n as u64;
-    }
-    Ok(ino)
-}
-
-/// Read the whole file at `path` — [`read_file`] over [`ConcurrentFs`].
-pub fn read_file_c(fs: &(impl ConcurrentFs + ?Sized), path: &str) -> FsResult<Vec<u8>> {
-    let ino = resolve_c(fs, path)?;
-    read_all_c(fs, ino)
-}
-
-/// Read the whole file with inode `ino` — [`read_all`] over
-/// [`ConcurrentFs`].
-pub fn read_all_c(fs: &(impl ConcurrentFs + ?Sized), ino: Ino) -> FsResult<Vec<u8>> {
-    let size = fs.getattr(ino)?.size as usize;
-    let mut out = vec![0u8; size];
-    let mut off = 0usize;
-    while off < size {
-        let n = fs.read(ino, off as u64, &mut out[off..])?;
-        if n == 0 {
-            break;
-        }
-        off += n;
-    }
-    out.truncate(off);
-    Ok(out)
-}
-
-/// Remove the file at `path` — [`remove_file`] over [`ConcurrentFs`].
-pub fn remove_file_c(fs: &(impl ConcurrentFs + ?Sized), path: &str) -> FsResult<()> {
-    let (dir, name) = resolve_parent_c(fs, path)?;
-    fs.unlink(dir, name)
 }
 
 #[cfg(test)]
@@ -281,116 +179,88 @@ mod tests {
 
     #[test]
     fn mkdir_p_and_resolve() {
-        let mut fs = ModelFs::new();
-        let d = mkdir_p(&mut fs, "/usr/src/lib").unwrap();
-        assert_eq!(resolve(&mut fs, "/usr/src/lib").unwrap(), d);
+        let fs = ModelFs::new();
+        let d = mkdir_p(&fs, "/usr/src/lib").unwrap();
+        assert_eq!(resolve(&fs, "/usr/src/lib").unwrap(), d);
         // Idempotent.
-        assert_eq!(mkdir_p(&mut fs, "/usr/src/lib").unwrap(), d);
+        assert_eq!(mkdir_p(&fs, "/usr/src/lib").unwrap(), d);
+        let (parent, leaf) = resolve_parent(&fs, "/usr/src/lib").unwrap();
+        assert_eq!(resolve(&fs, "/usr/src").unwrap(), parent);
+        assert_eq!(leaf, "lib");
     }
 
     #[test]
     fn write_then_read_file() {
-        let mut fs = ModelFs::new();
-        mkdir_p(&mut fs, "/tmp").unwrap();
-        write_file(&mut fs, "/tmp/hello.txt", b"hello world").unwrap();
-        assert_eq!(read_file(&mut fs, "/tmp/hello.txt").unwrap(), b"hello world");
+        let fs = ModelFs::new();
+        mkdir_p(&fs, "/tmp").unwrap();
+        write_file(&fs, "/tmp/hello.txt", b"hello world").unwrap();
+        assert_eq!(read_file(&fs, "/tmp/hello.txt").unwrap(), b"hello world");
         // Overwrite truncates.
-        write_file(&mut fs, "/tmp/hello.txt", b"bye").unwrap();
-        assert_eq!(read_file(&mut fs, "/tmp/hello.txt").unwrap(), b"bye");
+        let ino = write_file(&fs, "/tmp/hello.txt", b"bye").unwrap();
+        assert_eq!(read_file(&fs, "/tmp/hello.txt").unwrap(), b"bye");
+        assert_eq!(read_all(&fs, ino).unwrap(), b"bye");
+        remove_file(&fs, "/tmp/hello.txt").unwrap();
+        assert_eq!(resolve(&fs, "/tmp/hello.txt"), Err(FsError::NotFound));
     }
 
     #[test]
     fn remove_tree_removes_everything() {
-        let mut fs = ModelFs::new();
-        mkdir_p(&mut fs, "/a/b/c").unwrap();
-        write_file(&mut fs, "/a/x", b"1").unwrap();
-        write_file(&mut fs, "/a/b/y", b"2").unwrap();
-        write_file(&mut fs, "/a/b/c/z", b"3").unwrap();
-        remove_tree(&mut fs, "/a").unwrap();
-        assert_eq!(resolve(&mut fs, "/a"), Err(FsError::NotFound));
+        let fs = ModelFs::new();
+        mkdir_p(&fs, "/a/b/c").unwrap();
+        write_file(&fs, "/a/x", b"1").unwrap();
+        write_file(&fs, "/a/b/y", b"2").unwrap();
+        write_file(&fs, "/a/b/c/z", b"3").unwrap();
+        remove_tree(&fs, "/a").unwrap();
+        assert_eq!(resolve(&fs, "/a"), Err(FsError::NotFound));
     }
 
     #[test]
     fn walk_visits_all() {
-        let mut fs = ModelFs::new();
-        mkdir_p(&mut fs, "/src/sub").unwrap();
-        write_file(&mut fs, "/src/a.c", b"x").unwrap();
-        write_file(&mut fs, "/src/sub/b.c", b"y").unwrap();
+        let fs = ModelFs::new();
+        mkdir_p(&fs, "/src/sub").unwrap();
+        write_file(&fs, "/src/a.c", b"x").unwrap();
+        write_file(&fs, "/src/sub/b.c", b"y").unwrap();
         let mut seen = Vec::new();
-        walk(&mut fs, "/src", &mut |p, _, _| seen.push(p.to_string())).unwrap();
+        walk(&fs, "/src", &mut |p, _, _| seen.push(p.to_string())).unwrap();
         seen.sort();
         assert_eq!(seen, vec!["/src/a.c", "/src/sub", "/src/sub/b.c"]);
     }
 
     #[test]
     fn resolve_parent_of_root_is_error() {
-        let mut fs = ModelFs::new();
-        assert_eq!(resolve_parent(&mut fs, "/").unwrap_err(), FsError::InvalidArg);
+        let fs = ModelFs::new();
+        assert_eq!(resolve_parent(&fs, "/").unwrap_err(), FsError::InvalidArg);
     }
 
     #[test]
     fn mkdir_p_through_file_fails() {
-        let mut fs = ModelFs::new();
-        write_file(&mut fs, "/f", b"").unwrap();
-        assert_eq!(mkdir_p(&mut fs, "/f/sub"), Err(FsError::NotDir));
-    }
-
-    use crate::model::SharedModelFs as SharedModel;
-
-    #[test]
-    fn concurrent_mkdir_p_and_resolve() {
-        let fs = SharedModel::new();
-        let d = mkdir_p_c(&fs, "/srv/data/logs").unwrap();
-        assert_eq!(resolve_c(&fs, "/srv/data/logs").unwrap(), d);
-        // Idempotent, and resolves through existing components.
-        assert_eq!(mkdir_p_c(&fs, "/srv/data/logs").unwrap(), d);
-        let (parent, leaf) = resolve_parent_c(&fs, "/srv/data/logs").unwrap();
-        assert_eq!(resolve_c(&fs, "/srv/data").unwrap(), parent);
-        assert_eq!(leaf, "logs");
+        let fs = ModelFs::new();
+        write_file(&fs, "/f", b"").unwrap();
+        assert_eq!(mkdir_p(&fs, "/f/sub"), Err(FsError::NotDir));
     }
 
     #[test]
-    fn concurrent_write_read_remove() {
-        let fs = SharedModel::new();
-        mkdir_p_c(&fs, "/tmp").unwrap();
-        let ino = write_file_c(&fs, "/tmp/rec", b"payload-1").unwrap();
-        assert_eq!(read_file_c(&fs, "/tmp/rec").unwrap(), b"payload-1");
-        assert_eq!(read_all_c(&fs, ino).unwrap(), b"payload-1");
-        // Same-length overwrite replaces in place (no truncate on this
-        // surface; workloads always rewrite fixed-size records).
-        write_file_c(&fs, "/tmp/rec", b"payload-2").unwrap();
-        assert_eq!(read_file_c(&fs, "/tmp/rec").unwrap(), b"payload-2");
-        remove_file_c(&fs, "/tmp/rec").unwrap();
-        assert_eq!(resolve_c(&fs, "/tmp/rec"), Err(FsError::NotFound));
-    }
-
-    #[test]
-    fn concurrent_mkdir_p_through_file_fails() {
-        let fs = SharedModel::new();
-        write_file_c(&fs, "/f", b"").unwrap();
-        assert_eq!(mkdir_p_c(&fs, "/f/sub"), Err(FsError::NotDir));
-    }
-
-    #[test]
-    fn concurrent_helpers_race_cleanly() {
-        let fs = std::sync::Arc::new(SharedModel::new());
-        let threads: Vec<_> = (0..4)
-            .map(|t| {
-                let fs = fs.clone();
-                std::thread::spawn(move || {
-                    // Everyone races to create the same tree, then writes
-                    // a private file under it.
-                    let d = mkdir_p_c(&*fs, "/shared/tree").unwrap();
-                    write_file_c(&*fs, &format!("/shared/tree/t{t}"), b"x").unwrap();
-                    d
+    fn mkdir_p_races_cleanly() {
+        let fs = ModelFs::new();
+        let dirs: Vec<Ino> = std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..4)
+                .map(|t| {
+                    let fs = &fs;
+                    scope.spawn(move || {
+                        // Everyone races to create the same tree, then
+                        // writes a private file under it.
+                        let d = mkdir_p(fs, "/shared/tree").unwrap();
+                        write_file(fs, &format!("/shared/tree/t{t}"), b"x").unwrap();
+                        d
+                    })
                 })
-            })
-            .collect();
-        let dirs: Vec<Ino> = threads.into_iter().map(|t| t.join().unwrap()).collect();
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
         // All racers converged on one directory inode.
         assert!(dirs.windows(2).all(|w| w[0] == w[1]));
         for t in 0..4 {
-            assert_eq!(read_file_c(&*fs, &format!("/shared/tree/t{t}")).unwrap(), b"x");
+            assert_eq!(read_file(&fs, &format!("/shared/tree/t{t}")).unwrap(), b"x");
         }
     }
 }

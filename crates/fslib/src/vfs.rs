@@ -1,8 +1,13 @@
-//! The VFS layer: the `FileSystem` trait all implementations expose.
+//! The VFS layer: one trait hierarchy all implementations expose.
 //!
-//! Benchmarks, workloads, integration tests and the examples are all
-//! written against this trait, so classic FFS, the four C-FFS variants and
-//! the in-memory oracle are interchangeable.
+//! [`ConcurrentFs`] is the base: the 13 operations a client thread needs
+//! (lookup, create, read, write, sync, ...), all `&self` on a
+//! `Send + Sync` instance. [`FileSystem`] extends it with the 8 operations
+//! a single volume adds (`rename`, `link`, `rmdir`, `truncate`, `statfs`,
+//! ...). Each operation is declared exactly once, and every method takes
+//! `&self`, so classic FFS, the four C-FFS variants and the in-memory
+//! oracle are interchangeable under both single-threaded and threaded
+//! workloads. A volume set implements only the base.
 //!
 //! ## Inode-handle stability
 //!
@@ -38,7 +43,7 @@ pub enum FileKind {
     Dir,
 }
 
-/// Attributes returned by [`FileSystem::getattr`].
+/// Attributes returned by [`ConcurrentFs::getattr`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Attr {
     /// The inode number queried.
@@ -53,7 +58,7 @@ pub struct Attr {
     pub blocks: u64,
 }
 
-/// One entry from [`FileSystem::readdir`].
+/// One entry from [`ConcurrentFs::readdir`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DirEntry {
     /// Entry name (no path separators).
@@ -97,89 +102,52 @@ pub enum MetadataMode {
     Delayed,
 }
 
-/// The interface every file system in this workspace implements.
-pub trait FileSystem {
+/// The base interface every file system in this workspace implements:
+/// the operations client threads can drive **in parallel against one
+/// shared instance**. Every method takes `&self`, and the implementation
+/// must be `Send + Sync` — internally it shards or locks its own state.
+/// C-FFS shards (per-cylinder-group allocation maps, cache shards, a
+/// threaded driver queue); classic FFS and the model serialize on one
+/// lock.
+///
+/// Time discipline: each client thread advances its own virtual clock
+/// (thread-local mirror in `cffs_obs::Obs`); the run's elapsed simulated
+/// time is the cross-thread high-water mark `Obs::global_clock_ns`, so
+/// overlapping CPU work on different threads genuinely overlaps while
+/// disk requests serialize through the shared driver worker.
+pub trait ConcurrentFs: Send + Sync {
     /// Short label for reports, e.g. `"C-FFS"` or `"conventional"`.
     fn label(&self) -> &str;
-
     /// The root directory's inode number.
     fn root(&self) -> Ino;
-
     /// Look `name` up in directory `dir`.
-    fn lookup(&mut self, dir: Ino, name: &str) -> FsResult<Ino>;
-
+    fn lookup(&self, dir: Ino, name: &str) -> FsResult<Ino>;
     /// Fetch attributes of `ino`.
-    fn getattr(&mut self, ino: Ino) -> FsResult<Attr>;
-
+    fn getattr(&self, ino: Ino) -> FsResult<Attr>;
     /// Create a regular file named `name` in `dir`. Fails with
     /// [`crate::FsError::Exists`] if the name is taken.
-    fn create(&mut self, dir: Ino, name: &str) -> FsResult<Ino>;
-
+    fn create(&self, dir: Ino, name: &str) -> FsResult<Ino>;
     /// Create a directory.
-    fn mkdir(&mut self, dir: Ino, name: &str) -> FsResult<Ino>;
-
+    fn mkdir(&self, dir: Ino, name: &str) -> FsResult<Ino>;
     /// Remove a file name. The file's storage is freed when the last link
     /// goes (there are no open-file reference counts in the simulation).
-    fn unlink(&mut self, dir: Ino, name: &str) -> FsResult<()>;
-
-    /// Remove an empty directory.
-    fn rmdir(&mut self, dir: Ino, name: &str) -> FsResult<()>;
-
-    /// Add a hard link `dir/name` to `target` (a regular file). Returns the
-    /// target's inode number after the operation — C-FFS externalizes an
-    /// embedded inode here, which renumbers it.
-    fn link(&mut self, target: Ino, dir: Ino, name: &str) -> FsResult<Ino>;
-
-    /// Rename `odir/oname` to `ndir/nname`, replacing any existing file at
-    /// the destination. Returns the moved object's inode number after the
-    /// operation (embedded inodes move with their entry).
-    fn rename(&mut self, odir: Ino, oname: &str, ndir: Ino, nname: &str) -> FsResult<Ino>;
-
+    fn unlink(&self, dir: Ino, name: &str) -> FsResult<()>;
     /// Read up to `buf.len()` bytes at `off`; returns bytes read (short at
     /// end of file).
-    fn read(&mut self, ino: Ino, off: u64, buf: &mut [u8]) -> FsResult<usize>;
-
+    fn read(&self, ino: Ino, off: u64, buf: &mut [u8]) -> FsResult<usize>;
     /// Write `data` at `off`, extending the file as needed; returns bytes
     /// written.
-    fn write(&mut self, ino: Ino, off: u64, data: &[u8]) -> FsResult<usize>;
-
-    /// Truncate (or zero-extend) to `size` bytes.
-    fn truncate(&mut self, ino: Ino, size: u64) -> FsResult<()>;
-
+    fn write(&self, ino: Ino, off: u64, data: &[u8]) -> FsResult<usize>;
     /// List a directory (excluding `.` and `..`, which the simulation keeps
     /// implicit).
-    fn readdir(&mut self, dir: Ino) -> FsResult<Vec<DirEntry>>;
-
-    /// Write back all dirty state. On return the on-disk image is
-    /// consistent and complete — the paper "forcefully write[s] back all
-    /// dirty blocks before considering the measurement complete".
-    fn sync(&mut self) -> FsResult<()>;
-
-    /// Capacity summary.
-    fn statfs(&mut self) -> FsResult<StatFs>;
-
-    /// Current simulated time (the experiment clock).
+    fn readdir(&self, dir: Ino) -> FsResult<Vec<DirEntry>>;
+    /// Write back all dirty state (safe to race with foreground ops). On
+    /// return the on-disk image is consistent and complete — the paper
+    /// "forcefully write[s] back all dirty blocks before considering the
+    /// measurement complete".
+    fn sync(&self) -> FsResult<()>;
+    /// The calling thread's current simulated time (the experiment clock).
     fn now(&self) -> SimTime;
-
-    /// Sync, then drop all clean cached state, emulating a remount so the
-    /// next phase starts cold — how the benchmark separates create and read
-    /// phases. Implementations without caches may no-op.
-    fn drop_caches(&mut self) -> FsResult<()> {
-        self.sync()
-    }
-
-    /// Application-directed grouping hint (the paper's Section 6 future
-    /// work): ask that the named files in `dir` be co-located in one group.
-    /// Default: ignored.
-    fn group_hint(&mut self, _dir: Ino, _names: &[&str]) -> FsResult<()> {
-        Ok(())
-    }
-
-    /// The CPU cost model in effect (for workload think-time accounting).
-    fn cpu_model(&self) -> CpuModel {
-        CpuModel::default()
-    }
-
     /// The stack-wide observability handle (counter registry + event
     /// trace), when the implementation carries one. Benchmarks snapshot it
     /// per phase; `None` means the stack has no instrumentation.
@@ -188,52 +156,70 @@ pub trait FileSystem {
     }
 }
 
-/// The concurrent surface: the subset of [`FileSystem`] that client
-/// threads can drive **in parallel against one shared instance**. Every
-/// method takes `&self`, and the implementation must be `Send + Sync` —
-/// internally it shards or locks its own state (per-cylinder-group
-/// allocation maps, cache shards, a threaded driver queue).
-///
-/// Time discipline: each client thread advances its own virtual clock
-/// (thread-local mirror in `cffs_obs::Obs`); the run's elapsed simulated
-/// time is the cross-thread high-water mark `Obs::global_clock_ns`, so
-/// overlapping CPU work on different threads genuinely overlaps while
-/// disk requests serialize through the shared driver worker.
-///
-/// The method set is intentionally narrower than [`FileSystem`]:
-/// handle-renumbering operations (`rename`, `link`) and whole-fs
-/// maintenance (`truncate`, `drop_caches`) stay on the single-threaded
-/// trait — concurrent workloads don't need them and their inode-handle
-/// adoption rules don't compose across racing threads.
-pub trait ConcurrentFs: Send + Sync {
-    /// Short label for reports, e.g. `"C-FFS"`.
-    fn label(&self) -> &str;
-    /// The root directory's inode number.
-    fn root(&self) -> Ino;
-    /// Look `name` up in directory `dir`.
-    fn lookup(&self, dir: Ino, name: &str) -> FsResult<Ino>;
-    /// Fetch attributes of `ino`.
-    fn getattr(&self, ino: Ino) -> FsResult<Attr>;
-    /// Create a regular file named `name` in `dir`.
-    fn create(&self, dir: Ino, name: &str) -> FsResult<Ino>;
-    /// Create a directory.
-    fn mkdir(&self, dir: Ino, name: &str) -> FsResult<Ino>;
-    /// Remove a file name (storage freed with the last link).
-    fn unlink(&self, dir: Ino, name: &str) -> FsResult<()>;
-    /// Read up to `buf.len()` bytes at `off`; returns bytes read.
-    fn read(&self, ino: Ino, off: u64, buf: &mut [u8]) -> FsResult<usize>;
-    /// Write `data` at `off`, extending as needed; returns bytes written.
-    fn write(&self, ino: Ino, off: u64, data: &[u8]) -> FsResult<usize>;
-    /// List a directory.
-    fn readdir(&self, dir: Ino) -> FsResult<Vec<DirEntry>>;
-    /// Write back all dirty state (safe to race with foreground ops).
-    fn sync(&self) -> FsResult<()>;
-    /// The calling thread's current simulated time.
-    fn now(&self) -> SimTime;
-    /// The stack-wide observability handle, when carried.
-    fn obs(&self) -> Option<std::sync::Arc<cffs_obs::Obs>> {
-        None
+/// The full single-volume interface: [`ConcurrentFs`] plus the
+/// handle-renumbering operations (`rename`, `link`), whole-object
+/// maintenance and capacity queries. Every method still takes `&self`,
+/// so any implementation can be shared across threads; callers that race
+/// `rename`/`link` must adopt the returned inode numbers themselves.
+pub trait FileSystem: ConcurrentFs {
+    /// Remove an empty directory.
+    fn rmdir(&self, dir: Ino, name: &str) -> FsResult<()>;
+
+    /// Add a hard link `dir/name` to `target` (a regular file). Returns the
+    /// target's inode number after the operation — C-FFS externalizes an
+    /// embedded inode here, which renumbers it.
+    fn link(&self, target: Ino, dir: Ino, name: &str) -> FsResult<Ino>;
+
+    /// Rename `odir/oname` to `ndir/nname`, replacing any existing file at
+    /// the destination. Returns the moved object's inode number after the
+    /// operation (embedded inodes move with their entry). Moving a
+    /// directory into its own subtree fails with
+    /// [`crate::FsError::InvalidArg`].
+    fn rename(&self, odir: Ino, oname: &str, ndir: Ino, nname: &str) -> FsResult<Ino>;
+
+    /// Truncate (or zero-extend) to `size` bytes.
+    fn truncate(&self, ino: Ino, size: u64) -> FsResult<()>;
+
+    /// Capacity summary.
+    fn statfs(&self) -> FsResult<StatFs>;
+
+    /// Sync, then drop all clean cached state, emulating a remount so the
+    /// next phase starts cold — how the benchmark separates create and read
+    /// phases. Implementations without caches may no-op.
+    fn drop_caches(&self) -> FsResult<()> {
+        self.sync()
     }
+
+    /// Application-directed grouping hint (the paper's Section 6 future
+    /// work): ask that the named files in `dir` be co-located in one group.
+    /// Default: ignored.
+    fn group_hint(&self, _dir: Ino, _names: &[&str]) -> FsResult<()> {
+        Ok(())
+    }
+
+    /// The CPU cost model in effect (for workload think-time accounting).
+    fn cpu_model(&self) -> CpuModel {
+        CpuModel::default()
+    }
+}
+
+/// Whether directory `target` is `top` itself or lies anywhere below it —
+/// the check `rename` runs before moving directory `top` under `target`.
+/// Nothing stores `..`, so it walks `top`'s subtree downward; `subdirs`
+/// lists the subdirectories of one directory.
+pub fn subtree_contains(
+    top: Ino,
+    target: Ino,
+    mut subdirs: impl FnMut(Ino) -> FsResult<Vec<Ino>>,
+) -> FsResult<bool> {
+    let mut stack = vec![top];
+    while let Some(dir) = stack.pop() {
+        if dir == target {
+            return Ok(true);
+        }
+        stack.extend(subdirs(dir)?);
+    }
+    Ok(false)
 }
 
 #[cfg(test)]
@@ -254,7 +240,34 @@ mod tests {
 
     #[test]
     fn trait_is_object_safe() {
-        // Compile-time check: we rely on `&mut dyn FileSystem` everywhere.
-        fn _takes_dyn(_fs: &mut dyn FileSystem) {}
+        // Compile-time check: workloads take both trait objects, and a
+        // `&dyn FileSystem` reaches the base methods through the supertrait.
+        fn _takes_dyn(fs: &dyn FileSystem) -> &dyn ConcurrentFs {
+            fs
+        }
+    }
+
+    // The oracle is shareable like every on-disk implementation (those
+    // are asserted in the workspace's concurrency tests).
+    const _: () = {
+        const fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<crate::model::ModelFs>();
+    };
+
+    #[test]
+    fn subtree_contains_walks_down_only() {
+        // 1 ─┬─ 2 ── 4
+        //    └─ 3
+        let kids = |d: Ino| -> FsResult<Vec<Ino>> {
+            Ok(match d {
+                1 => vec![2, 3],
+                2 => vec![4],
+                _ => vec![],
+            })
+        };
+        assert!(subtree_contains(2, 2, kids).unwrap());
+        assert!(subtree_contains(1, 4, kids).unwrap());
+        assert!(!subtree_contains(2, 3, kids).unwrap());
+        assert!(!subtree_contains(4, 1, kids).unwrap());
     }
 }

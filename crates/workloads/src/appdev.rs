@@ -214,7 +214,7 @@ mod tests {
         // After clean, no .o files remain but sources do.
         let mut objs = 0;
         let mut srcs = 0;
-        path::walk(&mut fs, "/src", &mut |p, _, k| {
+        path::walk(&fs, "/src", &mut |p, _, k| {
             if k == FileKind::File {
                 if p.ends_with(".o") || p.ends_with(".a") {
                     objs += 1;
@@ -227,8 +227,8 @@ mod tests {
         assert_eq!(objs, 0);
         assert_eq!(srcs, DevTreeParams::small().total_files());
         // The copy matches the original.
-        let a = path::read_file(&mut fs, "/src/mod000/main0.c").unwrap();
-        let b = path::read_file(&mut fs, "/copy/mod000/main0.c").unwrap();
+        let a = path::read_file(&fs, "/src/mod000/main0.c").unwrap();
+        let b = path::read_file(&fs, "/copy/mod000/main0.c").unwrap();
         assert_eq!(a, b);
     }
 
@@ -244,7 +244,7 @@ mod tests {
         let tree = |seed| {
             let mut fs = ModelFs::new();
             run(&mut fs, DevTreeParams { seed, ..DevTreeParams::small() }).unwrap();
-            path::read_file(&mut fs, "/src/mod000/main0.c").unwrap()
+            path::read_file(&fs, "/src/mod000/main0.c").unwrap()
         };
         assert_eq!(tree(3), tree(3));
         assert_ne!(tree(3), tree(4));

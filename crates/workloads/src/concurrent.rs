@@ -33,7 +33,7 @@
 //! of `Obs::global_clock_ns` — every thread's work fits before it.
 
 use cffs_disksim::SimDuration;
-use cffs_fslib::path::{mkdir_p_c, read_file_c, resolve_c, write_file_c};
+use cffs_fslib::path::{mkdir_p, read_file, resolve, resolve_parent};
 use cffs_fslib::{ConcurrentFs, FsResult, Ino};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -210,7 +210,7 @@ fn churn(
     for (d, _) in own_dirs.iter().enumerate() {
         for f in 0..p.files_per_dir {
             if rng.gen_range(0..8u64) == 0 {
-                let ino = resolve_c(fs, &format!("/t{t}_d{d}/f{f}"))?;
+                let ino = resolve(fs, &format!("/t{t}_d{d}/f{f}"))?;
                 fs.write(ino, 0, &payload)?;
                 ops += 2;
                 bytes += p.file_size as u64;
@@ -232,12 +232,15 @@ fn churn(
     // "/sharedN" concurrently while siblings insert into it.
     for (s, &dir) in shared.iter().enumerate() {
         for f in 0..p.shared_files_per_thread {
-            write_file_c(fs, &format!("/shared{s}/t{t}_s{f}"), &payload)?;
+            let path = format!("/shared{s}/t{t}_s{f}");
+            let (parent, name) = resolve_parent(fs, &path)?;
+            let ino = fs.create(parent, name)?;
+            fs.write(ino, 0, &payload)?;
             ops += 2;
             bytes += p.file_size as u64;
         }
         for f in 0..p.shared_files_per_thread {
-            let data = read_file_c(fs, &format!("/shared{s}/t{t}_s{f}"))?;
+            let data = read_file(fs, &format!("/shared{s}/t{t}_s{f}"))?;
             ops += 1;
             bytes += data.len() as u64;
         }
@@ -315,13 +318,13 @@ pub fn run_with_phase_hook(
     for t in 0..p.nthreads {
         let mut dirs = Vec::with_capacity(p.dirs_per_thread);
         for d in 0..p.dirs_per_thread {
-            dirs.push(mkdir_p_c(fs, &format!("/t{t}_d{d}"))?);
+            dirs.push(mkdir_p(fs, &format!("/t{t}_d{d}"))?);
         }
         own.push(dirs);
     }
     let mut shared = Vec::with_capacity(p.shared_dirs);
     for s in 0..p.shared_dirs {
-        shared.push(mkdir_p_c(fs, &format!("/shared{s}"))?);
+        shared.push(mkdir_p(fs, &format!("/shared{s}"))?);
     }
     fs.sync()?;
     hook("setup");

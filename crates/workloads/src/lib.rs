@@ -3,9 +3,11 @@
 //! # cffs-workloads
 //!
 //! Workload generators and measurement harnesses for the C-FFS
-//! reproduction. Everything here drives the [`cffs_fslib::FileSystem`]
-//! trait, so the same workload runs unchanged against classic FFS, the
-//! four C-FFS variants, and the in-memory oracle.
+//! reproduction. Everything here drives the [`cffs_fslib::ConcurrentFs`]
+//! / [`cffs_fslib::FileSystem`] trait hierarchy, so the same workload runs
+//! unchanged against classic FFS, the four C-FFS variants, and the
+//! in-memory oracle; the threaded ones ([`concurrent`], [`multiclient`])
+//! need only the base trait and run on a volume set too.
 //!
 //! * [`smallfile`] — the paper's small-file micro-benchmark ("based on the
 //!   small-file benchmark from [Rosenblum92]"): create/write N small

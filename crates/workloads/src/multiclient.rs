@@ -38,7 +38,7 @@
 //! the same discipline as [`crate::concurrent`].
 
 use cffs_disksim::SimDuration;
-use cffs_fslib::path::{mkdir_p_c, resolve_c};
+use cffs_fslib::path::{mkdir_p, resolve};
 use cffs_fslib::{ConcurrentFs, FsResult, Ino};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -234,7 +234,7 @@ fn sessions(
             let f = rng.gen_range(0..p.files_per_dir as u64) as usize;
             let roll = rng.gen_range(0..100u64) as u32;
             if roll < p.write_pct {
-                let ino = resolve_c(fs, &format!("/p{d}/f{f}"))?;
+                let ino = resolve(fs, &format!("/p{d}/f{f}"))?;
                 fs.write(ino, 0, &vec![fill_byte(d, f); p.file_size])?;
                 ops += 2;
                 bytes += p.file_size as u64;
@@ -242,12 +242,12 @@ fn sessions(
                 fs.sync()?;
                 ops += 1;
             } else if roll < p.write_pct + p.fsync_pct + p.big_pct && has_big(d, p) {
-                let ino = resolve_c(fs, &format!("/p{d}/big"))?;
+                let ino = resolve(fs, &format!("/p{d}/big"))?;
                 let n = fs.read(ino, 0, &mut buf[..p.big_size])?;
                 ops += 2;
                 bytes += n as u64;
             } else {
-                let ino = resolve_c(fs, &format!("/p{d}/f{f}"))?;
+                let ino = resolve(fs, &format!("/p{d}/f{f}"))?;
                 let n = fs.read(ino, 0, &mut buf[..p.file_size])?;
                 ops += 2;
                 bytes += n as u64;
@@ -322,7 +322,7 @@ pub fn run_with_phase_hook(
     // Phase 1 — setup (main thread): the project directories.
     let mut all_dirs = Vec::with_capacity(p.ndirs);
     for d in 0..p.ndirs {
-        all_dirs.push(mkdir_p_c(fs, &format!("/p{d}"))?);
+        all_dirs.push(mkdir_p(fs, &format!("/p{d}"))?);
     }
     fs.sync()?;
     hook("setup");

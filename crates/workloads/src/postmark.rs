@@ -199,7 +199,7 @@ pub fn run(
 mod tests {
     use super::*;
     use cffs_fslib::model::ModelFs;
-    use cffs_fslib::FileSystem;
+    use cffs_fslib::ConcurrentFs;
 
     #[test]
     fn postmark_runs_and_cleans_up() {

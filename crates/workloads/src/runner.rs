@@ -141,6 +141,7 @@ pub fn cold_boundary(fs: &mut (impl FileSystem + ?Sized)) -> FsResult<()> {
 mod tests {
     use super::*;
     use cffs_fslib::model::ModelFs;
+    use cffs_fslib::ConcurrentFs;
 
     #[test]
     fn measure_captures_items_and_phase() {

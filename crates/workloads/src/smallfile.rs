@@ -162,6 +162,7 @@ pub fn run(
 mod tests {
     use super::*;
     use cffs_fslib::model::ModelFs;
+    use cffs_fslib::ConcurrentFs;
 
     #[test]
     fn four_phases_on_the_oracle() {

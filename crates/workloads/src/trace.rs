@@ -7,7 +7,7 @@
 //! strongest cheap correctness check we have, because it is completely
 //! implementation-agnostic.
 
-use cffs_fslib::{path, FileKind, FileSystem, FsError, FsResult};
+use cffs_fslib::{path, ConcurrentFs, FileKind, FileSystem, FsError, FsResult};
 use cffs_obs::json::{FromJson, Json, JsonError, ToJson};
 use cffs_obs::obj;
 use rand::rngs::StdRng;
@@ -199,8 +199,9 @@ pub fn replay(fs: &mut (impl FileSystem + ?Sized), ops: &[Op]) -> FsResult<()> {
 /// `Some(contents)` for a file.
 pub type Snapshot = BTreeMap<String, Option<Vec<u8>>>;
 
-/// Capture the logical state of the whole tree.
-pub fn snapshot(fs: &mut (impl FileSystem + ?Sized)) -> FsResult<Snapshot> {
+/// Capture the logical state of the whole tree. Needs only base
+/// operations, so a volume set can be snapshotted too.
+pub fn snapshot(fs: &(impl ConcurrentFs + ?Sized)) -> FsResult<Snapshot> {
     let mut entries: Vec<(String, FileKind)> = Vec::new();
     path::walk(fs, "/", &mut |p, _, kind| entries.push((p.to_string(), kind)))?;
     let mut out = Snapshot::new();
@@ -304,7 +305,7 @@ mod tests {
         ];
         let mut fs = ModelFs::new();
         replay(&mut fs, &ops).unwrap();
-        let snap = snapshot(&mut fs).unwrap();
+        let snap = snapshot(&fs).unwrap();
         assert_eq!(snap["/x/h"], Some(b"hello world".to_vec()));
         assert_eq!(snap["/x/g"].as_ref().unwrap().len(), 5000);
         assert!(!snap.contains_key("/x/f"));
@@ -317,7 +318,7 @@ mod tests {
             let ops = random_trace(seed, 300);
             let mut fs = ModelFs::new();
             replay(&mut fs, &ops).unwrap();
-            snapshot(&mut fs).unwrap();
+            snapshot(&fs).unwrap();
         }
     }
 
@@ -333,7 +334,7 @@ mod tests {
         replay(&mut a, &ops).unwrap();
         let mut b = ModelFs::new();
         replay(&mut b, &back).unwrap();
-        assert_eq!(snapshot(&mut a).unwrap(), snapshot(&mut b).unwrap());
+        assert_eq!(snapshot(&a).unwrap(), snapshot(&b).unwrap());
     }
 
     #[test]

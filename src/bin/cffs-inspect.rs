@@ -63,8 +63,8 @@ use cffs_obs::obj;
 use std::path::Path;
 
 fn demo_image() -> Disk {
-    let mut fs = cffs::build::on_disk(models::tiny_test_disk(), CffsConfig::cffs());
-    path::mkdir_p(&mut fs, "/src/include").expect("mkdir");
+    let fs = cffs::build::on_disk(models::tiny_test_disk(), CffsConfig::cffs());
+    path::mkdir_p(&fs, "/src/include").expect("mkdir");
     for (p, data) in [
         ("/src/main.c", vec![b'm'; 1800]),
         ("/src/util.c", vec![b'u'; 900]),
@@ -72,9 +72,9 @@ fn demo_image() -> Disk {
         ("/README", vec![b'r'; 450]),
         ("/bigfile.bin", vec![b'B'; 120_000]),
     ] {
-        path::write_file(&mut fs, p, &data).expect("write");
+        path::write_file(&fs, p, &data).expect("write");
     }
-    let f = path::resolve(&mut fs, "/src/util.c").expect("resolve");
+    let f = path::resolve(&fs, "/src/util.c").expect("resolve");
     fs.link(f, fs.root(), "util-alias.c").expect("link");
     fs.unmount().expect("unmount")
 }

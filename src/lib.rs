@@ -14,7 +14,7 @@
 //! use cffs::prelude::*;
 //!
 //! // A C-FFS on the paper's testbed disk (Seagate ST31200).
-//! let mut fs = cffs::build::cffs_on_testbed();
+//! let fs = cffs::build::cffs_on_testbed();
 //! let root = fs.root();
 //! let dir = fs.mkdir(root, "src").unwrap();
 //! let ino = fs.create(dir, "hello.c").unwrap();
@@ -41,7 +41,8 @@ pub mod prelude {
     pub use cffs_disksim::{SimDuration, SimTime};
     pub use cffs_ffs::{Ffs, FfsOptions};
     pub use cffs_fslib::{
-        path, Attr, DirEntry, FileKind, FileSystem, FsError, FsResult, Ino, MetadataMode, StatFs,
+        path, Attr, ConcurrentFs, DirEntry, FileKind, FileSystem, FsError, FsResult, Ino,
+        MetadataMode, StatFs,
     };
 }
 

@@ -1,7 +1,10 @@
-//! Concurrency: N client threads over one shared `Cffs`.
+//! Concurrency: N client threads over one shared file system.
 //!
 //! The tentpole claims of the concurrent surface, checked end to end:
 //!
+//! * the threaded workloads run on every implementation — the oracle,
+//!   classic FFS, the four C-FFS variants and a volume set — and leave
+//!   the same tree on each;
 //! * a multi-threaded run over disjoint per-thread directory sets leaves
 //!   an fsck-clean image, and its op tally is exactly the sum of the
 //!   equivalent single-threaded sessions (nothing lost, nothing doubled);
@@ -11,11 +14,25 @@
 //!   atomicity — every block is wholly one writer's payload.
 
 use cffs::core::{fsck, Cffs, CffsConfig, MkfsParams};
+use cffs::ffs::Ffs;
 use cffs::prelude::FsResult;
+use cffs::volume::{VolumeCfg, VolumeSet};
 use cffs::workloads::concurrent::{self, ConcurrentParams};
+use cffs::workloads::multiclient::{self, MulticlientParams};
+use cffs::workloads::trace::snapshot;
 use cffs_disksim::models;
 use cffs_disksim::Disk;
+use cffs_fslib::model::ModelFs;
 use cffs_fslib::ConcurrentFs;
+
+// Every implementation can be shared across client threads.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<ModelFs>();
+    assert_send_sync::<Ffs>();
+    assert_send_sync::<Cffs>();
+    assert_send_sync::<VolumeSet>();
+};
 
 fn fresh() -> Cffs {
     cffs::core::mkfs::mkfs(Disk::new(models::tiny_test_disk()), MkfsParams::tiny(), CffsConfig::cffs())
@@ -27,6 +44,84 @@ fn assert_fsck_clean(fs: &Cffs, context: &str) {
     let mut img = fs.crash_image();
     let report = fsck::fsck(&mut img, false).expect("fsck runs");
     assert!(report.clean(), "{context}: fsck found {:?}", report.errors);
+}
+
+/// Fresh instances of every implementation: the oracle, classic FFS, the
+/// paper's four C-FFS variants and a 2-volume set.
+fn every_implementation() -> Vec<Box<dyn ConcurrentFs>> {
+    let mut v: Vec<Box<dyn ConcurrentFs>> = vec![Box::new(ModelFs::new())];
+    v.push(Box::new(
+        cffs::ffs::mkfs::mkfs(
+            Disk::new(models::tiny_test_disk()),
+            cffs::ffs::MkfsParams::tiny(),
+            cffs::ffs::FfsOptions::default(),
+        )
+        .expect("ffs mkfs"),
+    ));
+    for cfg in [
+        CffsConfig::conventional(),
+        CffsConfig::embedded_only(),
+        CffsConfig::grouping_only(),
+        CffsConfig::cffs(),
+    ] {
+        v.push(Box::new(
+            cffs::core::mkfs::mkfs(Disk::new(models::tiny_test_disk()), MkfsParams::tiny(), cfg)
+                .expect("cffs mkfs"),
+        ));
+    }
+    let disks = (0..2).map(|_| Disk::new(models::tiny_test_disk())).collect();
+    v.push(Box::new(
+        VolumeSet::format(disks, VolumeCfg::new(CffsConfig::cffs())).expect("format volume set"),
+    ));
+    v
+}
+
+#[test]
+fn threaded_workloads_run_on_every_implementation() {
+    // Each thread owns its directories and uses thread-unique names in
+    // the shared ones, so the final tree is independent of interleaving.
+    let p = ConcurrentParams {
+        nthreads: 4,
+        dirs_per_thread: 2,
+        files_per_dir: 8,
+        file_size: 2048,
+        shared_dirs: 2,
+        shared_files_per_thread: 3,
+        read_rounds: 1,
+        seed: 11,
+    };
+    let mut want = None;
+    for fs in every_implementation() {
+        let label = fs.label().to_string();
+        concurrent::run(fs.as_ref(), &p).unwrap_or_else(|e| panic!("{label}: {e}"));
+        let got = snapshot(fs.as_ref()).expect("snapshot");
+        assert_eq!(&got, want.get_or_insert_with(|| got.clone()), "{label}: concurrent tree");
+    }
+    let shared = want.unwrap().keys().filter(|k| k.starts_with("/shared0/")).count();
+    assert_eq!(shared, p.nthreads * p.shared_files_per_thread, "every shared file survives");
+
+    // One client: sessions, overwrites, striped big reads and churn.
+    let p = MulticlientParams {
+        nthreads: 1,
+        sessions: 24,
+        ndirs: 6,
+        files_per_dir: 4,
+        file_size: 1024,
+        ops_per_session: 4,
+        big_every: 3,
+        big_size: 96 * 1024,
+        seed: 5,
+        ..MulticlientParams::default()
+    };
+    let mut want = None;
+    for fs in every_implementation() {
+        let label = fs.label().to_string();
+        multiclient::run(fs.as_ref(), &p).unwrap_or_else(|e| panic!("{label}: {e}"));
+        let got = snapshot(fs.as_ref()).expect("snapshot");
+        assert_eq!(&got, want.get_or_insert_with(|| got.clone()), "{label}: multiclient tree");
+    }
+    let big = want.unwrap().get("/p0/big").cloned().flatten().map(|d| d.len());
+    assert_eq!(big, Some(p.big_size), "the striped big file reads back whole");
 }
 
 #[test]

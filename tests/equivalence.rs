@@ -42,7 +42,7 @@ fn random_traces_match_oracle_on_all_filesystems() {
         let ops = random_trace(seed, 400);
         let mut oracle = ModelFs::new();
         replay(&mut oracle, &ops).expect("oracle replay");
-        let want = snapshot(&mut oracle).expect("oracle snapshot");
+        let want = snapshot(&oracle).expect("oracle snapshot");
         for mut fs in all_test_filesystems() {
             let label = fs.label().to_string();
             replay(fs.as_mut(), &ops).unwrap_or_else(|e| panic!("{label} seed {seed}: {e}"));
@@ -58,7 +58,7 @@ fn state_survives_remount() {
         let ops = random_trace(seed, 300);
         let mut oracle = ModelFs::new();
         replay(&mut oracle, &ops).expect("oracle replay");
-        let want = snapshot(&mut oracle).expect("oracle snapshot");
+        let want = snapshot(&oracle).expect("oracle snapshot");
 
         // C-FFS with everything on.
         let mut fs = cffs::core::mkfs::mkfs(
@@ -69,8 +69,8 @@ fn state_survives_remount() {
         .expect("mkfs");
         replay(&mut fs, &ops).expect("replay");
         let disk = fs.unmount().expect("unmount");
-        let mut fs2 = cffs::core::Cffs::mount(disk, cffs::core::CffsConfig::cffs()).expect("remount");
-        let got = snapshot(&mut fs2).expect("snapshot");
+        let fs2 = cffs::core::Cffs::mount(disk, cffs::core::CffsConfig::cffs()).expect("remount");
+        let got = snapshot(&fs2).expect("snapshot");
         assert_eq!(got, want, "remounted C-FFS diverged at seed {seed}");
 
         // Classic FFS.
@@ -82,9 +82,9 @@ fn state_survives_remount() {
         .expect("mkfs");
         replay(&mut fs, &ops).expect("replay");
         let disk = fs.unmount().expect("unmount");
-        let mut fs2 =
+        let fs2 =
             cffs::ffs::Ffs::mount(disk, cffs::ffs::FfsOptions::default()).expect("remount");
-        let got = snapshot(&mut fs2).expect("snapshot");
+        let got = snapshot(&fs2).expect("snapshot");
         assert_eq!(got, want, "remounted FFS diverged at seed {seed}");
     }
 }
@@ -97,7 +97,7 @@ fn grouping_image_readable_with_grouping_disabled() {
     let ops = random_trace(7, 250);
     let mut oracle = ModelFs::new();
     replay(&mut oracle, &ops).expect("oracle replay");
-    let want = snapshot(&mut oracle).expect("oracle snapshot");
+    let want = snapshot(&oracle).expect("oracle snapshot");
 
     let mut fs = cffs::core::mkfs::mkfs(
         cffs_disksim::Disk::new(models::tiny_test_disk()),
@@ -107,9 +107,9 @@ fn grouping_image_readable_with_grouping_disabled() {
     .expect("mkfs");
     replay(&mut fs, &ops).expect("replay");
     let disk = fs.unmount().expect("unmount");
-    let mut fs2 = cffs::core::Cffs::mount(disk, cffs::core::CffsConfig::embedded_only())
+    let fs2 = cffs::core::Cffs::mount(disk, cffs::core::CffsConfig::embedded_only())
         .expect("remount without grouping");
-    assert_eq!(snapshot(&mut fs2).expect("snapshot"), want);
+    assert_eq!(snapshot(&fs2).expect("snapshot"), want);
 }
 
 #[test]
@@ -162,7 +162,7 @@ fn deterministic_simulated_time() {
 
 #[test]
 fn link_then_unlink_keeps_data_until_last_name() {
-    for mut fs in all_test_filesystems() {
+    for fs in all_test_filesystems() {
         let label = fs.label().to_string();
         let root = fs.root();
         let f = fs.create(root, "orig").unwrap();
@@ -192,10 +192,59 @@ fn explicit_op_sequence_with_replacement_renames() {
     ];
     let mut oracle = ModelFs::new();
     replay(&mut oracle, &ops).expect("oracle");
-    let want = snapshot(&mut oracle).expect("oracle snapshot");
+    let want = snapshot(&oracle).expect("oracle snapshot");
     for mut fs in all_test_filesystems() {
         let label = fs.label().to_string();
         replay(fs.as_mut(), &ops).expect("replay");
         assert_eq!(snapshot(fs.as_mut()).expect("snapshot"), want, "{label}");
+    }
+}
+
+#[test]
+fn rename_into_own_subtree_is_rejected() {
+    // Moving /a under /a/b (or under /a itself) would cut /a loose from
+    // the root. Every implementation must refuse before writing anything,
+    // while an ordinary directory move across parents still succeeds.
+    fn attempt(fs: &dyn FileSystem) {
+        let label = fs.label().to_string();
+        let root = fs.root();
+        let a = fs.mkdir(root, "a").unwrap();
+        let b = fs.mkdir(a, "b").unwrap();
+        path::write_file(fs, "/a/b/f", b"payload").unwrap();
+        fs.sync().unwrap();
+        let before = snapshot(fs).unwrap();
+        assert_eq!(fs.rename(root, "a", b, "c"), Err(FsError::InvalidArg), "{label}: grandchild");
+        assert_eq!(fs.rename(root, "a", a, "c"), Err(FsError::InvalidArg), "{label}: itself");
+        assert_eq!(snapshot(fs).unwrap(), before, "{label}: a refused rename changed the tree");
+        fs.rename(a, "b", root, "b").unwrap();
+        assert_eq!(path::read_file(fs, "/b/f").unwrap(), b"payload", "{label}: legal move");
+        fs.sync().unwrap();
+    }
+
+    attempt(&ModelFs::new());
+    let ffs = cffs::ffs::mkfs::mkfs(
+        cffs_disksim::Disk::new(models::tiny_test_disk()),
+        cffs::ffs::MkfsParams::tiny(),
+        cffs::ffs::FfsOptions::default(),
+    )
+    .expect("ffs mkfs");
+    attempt(&ffs);
+    let report = cffs::ffs::fsck::fsck(&mut ffs.crash_image(), false).expect("fsck runs");
+    assert!(report.clean(), "FFS: {:?}", report.errors);
+    for cfg in [
+        cffs::core::CffsConfig::conventional(),
+        cffs::core::CffsConfig::embedded_only(),
+        cffs::core::CffsConfig::grouping_only(),
+        cffs::core::CffsConfig::cffs(),
+    ] {
+        let fs = cffs::core::mkfs::mkfs(
+            cffs_disksim::Disk::new(models::tiny_test_disk()),
+            cffs::core::MkfsParams::tiny(),
+            cfg,
+        )
+        .expect("cffs mkfs");
+        attempt(&fs);
+        let report = cffs::core::fsck::fsck(&mut fs.crash_image(), false).expect("fsck runs");
+        assert!(report.clean(), "{}: {:?}", fs.label(), report.errors);
     }
 }

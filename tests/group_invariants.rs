@@ -150,7 +150,7 @@ fn large_files_are_degrouped() {
         }
     }
     // Contents intact after the relocation.
-    let data = path::read_all(&mut fs, big).unwrap();
+    let data = path::read_all(&fs, big).unwrap();
     assert_eq!(data.len(), 90_000);
     assert!(data[..30_000].iter().all(|&b| b == 3));
     assert!(data[30_000..].iter().all(|&b| b == 4));
@@ -211,7 +211,7 @@ fn group_hint_colocates_files() {
     }
     // Contents survived the relocation.
     for (f, &ino) in inos.iter().enumerate() {
-        let data = path::read_all(&mut fs, ino).unwrap();
+        let data = path::read_all(&fs, ino).unwrap();
         assert_eq!(data, vec![f as u8; 3000]);
     }
     let mut img = fs.unmount().unwrap();

@@ -1,9 +1,11 @@
 //! Property-based integration tests.
 //!
 //! Unlike `tests/equivalence.rs` (fixed seeds), these let proptest explore
-//! and *shrink* operation sequences, which is how the nastiest corner
-//! cases (rename-over-hardlink, truncate-then-append across indirect
+//! random operation sequences, which is how the nastiest corner cases
+//! (rename-over-hardlink, truncate-then-append across indirect
 //! boundaries, group dissolution races) were found during development.
+//! The vendored proptest does not shrink: a failure names its case
+//! number, and `PROPTEST_SEED` / `PROPTEST_CASES` vary the stream.
 
 use cffs::core::{fsck, Cffs, CffsConfig, MkfsParams};
 use cffs::ffs::{Ffs, FfsOptions, MkfsParams as FfsMkfsParams};
@@ -62,14 +64,14 @@ proptest! {
         for op in skeleton().iter().chain(&ops) {
             apply(&mut oracle, op).expect("oracle");
         }
-        let want = snapshot(&mut oracle).expect("oracle snapshot");
+        let want = snapshot(&oracle).expect("oracle snapshot");
         for cfg in [CffsConfig::cffs(), CffsConfig::conventional()] {
             let label = cfg.label.clone();
             let mut fs = cffs_variant(cfg);
             for op in skeleton().iter().chain(&ops) {
                 apply(&mut fs, op).expect("replay");
             }
-            let got = snapshot(&mut fs).expect("snapshot");
+            let got = snapshot(&fs).expect("snapshot");
             prop_assert_eq!(&got, &want, "{} diverged", label);
         }
     }
@@ -81,7 +83,7 @@ proptest! {
         for op in skeleton().iter().chain(&ops) {
             apply(&mut oracle, op).expect("oracle");
         }
-        let want = snapshot(&mut oracle).expect("oracle snapshot");
+        let want = snapshot(&oracle).expect("oracle snapshot");
         let mut fs = Ffs::mount(
             cffs::ffs::mkfs::mkfs(
                 Disk::new(models::tiny_test_disk()),
@@ -97,7 +99,7 @@ proptest! {
         for op in skeleton().iter().chain(&ops) {
             apply(&mut fs, op).expect("replay");
         }
-        prop_assert_eq!(snapshot(&mut fs).expect("snapshot"), want);
+        prop_assert_eq!(snapshot(&fs).expect("snapshot"), want);
     }
 
     /// Any crash point during any workload leaves a repairable image, and
@@ -125,8 +127,8 @@ proptest! {
         let verify = fsck::fsck(&mut img, false).expect("verify");
         prop_assert!(verify.clean(), "not clean after repair: {:?}", verify.errors);
         // The repaired image must mount and be fully walkable.
-        let mut fs2 = Cffs::mount(img, CffsConfig::cffs()).expect("mount");
-        snapshot(&mut fs2).expect("walk repaired image");
+        let fs2 = Cffs::mount(img, CffsConfig::cffs()).expect("mount");
+        snapshot(&fs2).expect("walk repaired image");
     }
 
     /// Remount is lossless for synced state under arbitrary op sequences.
@@ -136,10 +138,10 @@ proptest! {
         for op in skeleton().iter().chain(&ops) {
             apply(&mut fs, op).expect("replay");
         }
-        let want = snapshot(&mut fs).expect("pre-unmount snapshot");
+        let want = snapshot(&fs).expect("pre-unmount snapshot");
         let disk = fs.unmount().expect("unmount");
-        let mut fs2 = Cffs::mount(disk, CffsConfig::cffs()).expect("remount");
-        prop_assert_eq!(snapshot(&mut fs2).expect("post-remount snapshot"), want);
+        let fs2 = Cffs::mount(disk, CffsConfig::cffs()).expect("remount");
+        prop_assert_eq!(snapshot(&fs2).expect("post-remount snapshot"), want);
     }
 
     /// The namespace cache is invisible to semantics: a dcache'd instance
@@ -161,8 +163,8 @@ proptest! {
             for dir in ["", "/d0", "/d1", "/d0/s0", "/sub0", "/sub1", "/d0/sub0"] {
                 for i in 0..6 {
                     let path = format!("{dir}/n{i}");
-                    let a = cffs_fslib::path::resolve(&mut on, &path).map(|_| ());
-                    let b = cffs_fslib::path::resolve(&mut off, &path).map(|_| ());
+                    let a = cffs_fslib::path::resolve(&on, &path).map(|_| ());
+                    let b = cffs_fslib::path::resolve(&off, &path).map(|_| ());
                     prop_assert_eq!(a, b, "resolve {} diverged after {:?}", path, op);
                 }
             }
@@ -170,14 +172,14 @@ proptest! {
         // Relocate /d0's first blocks into a fresh extent on both
         // instances: the commit path re-homes embedded inodes, so any
         // cached ino for /d0's children is now a lie unless purged.
-        if let Ok(d0) = cffs_fslib::path::resolve(&mut on, "/d0") {
+        if let Ok(d0) = cffs_fslib::path::resolve(&on, "/d0") {
             if let Some(group) = on.carve_group_for(d0).expect("carve") {
                 for lbn in 0..4 {
                     on.relocate_block_into(d0, lbn, group).expect("relocate");
                 }
             }
         }
-        if let Ok(d0) = cffs_fslib::path::resolve(&mut off, "/d0") {
+        if let Ok(d0) = cffs_fslib::path::resolve(&off, "/d0") {
             if let Some(group) = off.carve_group_for(d0).expect("carve") {
                 for lbn in 0..4 {
                     off.relocate_block_into(d0, lbn, group).expect("relocate");
@@ -185,8 +187,8 @@ proptest! {
             }
         }
         prop_assert_eq!(
-            snapshot(&mut on).expect("dcache snapshot"),
-            snapshot(&mut off).expect("plain snapshot"),
+            snapshot(&on).expect("dcache snapshot"),
+            snapshot(&off).expect("plain snapshot"),
             "logical state diverged"
         );
         Cffs::sync(&on).expect("sync");
@@ -210,12 +212,12 @@ proptest! {
         prop_assert!(st.free_blocks + st.group_slack_blocks <= total_free_at_start);
         // Deleting everything returns all space.
         for p in ["/sub0", "/sub1"] {
-            let _ = cffs_fslib::path::remove_tree(&mut fs, p);
+            let _ = cffs_fslib::path::remove_tree(&fs, p);
         }
         for e in fs.readdir(fs.root()).expect("readdir") {
             match e.kind {
                 FileKind::Dir => cffs_fslib::path::remove_tree(
-                    &mut fs,
+                    &fs,
                     &format!("/{}", e.name),
                 )
                 .expect("remove tree"),

@@ -29,16 +29,16 @@ fn aged() -> Cffs {
 #[test]
 fn regroup_preserves_logical_state_and_survives_remount() {
     let mut fs = aged();
-    let want = snapshot(&mut fs).expect("snapshot");
+    let want = snapshot(&fs).expect("snapshot");
     let out = cffs_regroup::run(&mut fs, &RegroupConfig::exhaustive()).expect("regroup");
     assert!(out.blocks_moved > 0, "an aged image must need regrouping");
     assert!(out.groups_formed > 0);
-    assert_eq!(snapshot(&mut fs).expect("snapshot"), want, "live view changed");
+    assert_eq!(snapshot(&fs).expect("snapshot"), want, "live view changed");
     let mut img = fs.unmount().expect("unmount");
     let report = fsck::fsck(&mut img, false).expect("fsck");
     assert!(report.clean(), "{:?}", report.errors);
-    let mut fs2 = Cffs::mount(img, CffsConfig::cffs()).expect("remount");
-    assert_eq!(snapshot(&mut fs2).expect("snapshot"), want, "remounted view changed");
+    let fs2 = Cffs::mount(img, CffsConfig::cffs()).expect("remount");
+    assert_eq!(snapshot(&fs2).expect("snapshot"), want, "remounted view changed");
 }
 
 #[test]

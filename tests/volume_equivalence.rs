@@ -126,7 +126,7 @@ fn walk(fs: &(impl ConcurrentFs + ?Sized), dir: Ino, prefix: &str, out: &mut Vec
                 assert_eq!(n, buf.len(), "short read of {path}");
                 // Content fingerprint: size plus a rolling sum is enough
                 // to catch byte-level divergence without megabyte dumps
-                // in proptest's shrink output.
+                // in a failing case's assertion message.
                 let sum = buf.iter().fold(0u64, |a, &b| a.wrapping_mul(31).wrapping_add(b as u64));
                 out.push(format!("{path} size={} sum={sum:#x}", attr.size));
             }
