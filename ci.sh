@@ -23,40 +23,43 @@ echo "== perfbench build (own workspace; implements ConcurrentFs) =="
 # never compile it; a trait change could break it while they stay green.
 CARGO_TARGET_DIR=.bench_build cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "== bench smoke (repro_smallfile + repro_aging_regroup + repro_concurrent + repro_namei + repro_volume + repro_diskreqs, reduced scale) =="
+echo "== bench smoke (repro smallfile, aging_regroup, concurrent, namei, volume, diskreqs; reduced scale) =="
+# The release build above produced the one experiment binary.
+REPRO=target/release/repro
 BENCH_TMP=$(mktemp -d)
 # Feed and flight recorder armed together: both sinks share one producer.
-BENCH_OUT_DIR="$BENCH_TMP/out" cargo run --release --offline -p cffs-bench \
-    --bin repro_smallfile -- --files 60 --dirs 3 --mode sync --seed 1997 \
+BENCH_OUT_DIR="$BENCH_TMP/out" $REPRO smallfile --files 60 --dirs 3 --mode sync --seed 1997 \
     --feed "$BENCH_TMP/feed_smallfile.jsonl" --flight "$BENCH_TMP/flight" > /dev/null
-BENCH_OUT_DIR="$BENCH_TMP/out" cargo run --release --offline -p cffs-bench \
-    --bin repro_aging_regroup -- --feed "$BENCH_TMP/feed.jsonl" > /dev/null
+BENCH_OUT_DIR="$BENCH_TMP/out" $REPRO aging_regroup --feed "$BENCH_TMP/feed.jsonl" > /dev/null
 # Reduced scale must match the checked-in BENCH_CONCURRENT baseline
 # invocation exactly (the scaling ratio is scale-sensitive).
-BENCH_OUT_DIR="$BENCH_TMP/out" cargo run --release --offline -p cffs-bench \
-    --bin repro_concurrent -- --dirs 2 --files 12 --rounds 8 > /dev/null
+BENCH_OUT_DIR="$BENCH_TMP/out" $REPRO concurrent --dirs 2 --files 12 --rounds 8 > /dev/null
 # Reduced scale must match the checked-in BENCH_NAMEI baseline invocation
 # exactly. Keep --files at 256: the p99 speedup the gate enforces needs
 # multi-block leaf directories to measure anything.
-BENCH_OUT_DIR="$BENCH_TMP/out" cargo run --release --offline -p cffs-bench \
-    --bin repro_namei -- --branches 4 --dirs 4 --files 256 --sample 1024 --rounds 3 \
-    > /dev/null
+BENCH_OUT_DIR="$BENCH_TMP/out" $REPRO namei --branches 4 --dirs 4 --files 256 --sample 1024 \
+    --rounds 3 > /dev/null
 # Reduced scale must match the checked-in BENCH_VOLUME baseline invocation
 # exactly (the volume scaling ratio is scale-sensitive). Records a live
 # per-volume feed for the schema smoke below.
-BENCH_OUT_DIR="$BENCH_TMP/out" cargo run --release --offline -p cffs-bench \
-    --bin repro_volume -- --seed 1997 --sessions 480 --dirs 64 --files 16 \
+BENCH_OUT_DIR="$BENCH_TMP/out" $REPRO volume --seed 1997 --sessions 480 --dirs 64 --files 16 \
     --ops 6 --threads 4 --feed "$BENCH_TMP/feed_volume.jsonl" > /dev/null
 # E8 (disk-request accounting, read from the phase counter deltas): every
 # claim line must be reported; its BENCH_DISKREQS.json joins the schema
 # check below.
-BENCH_OUT_DIR="$BENCH_TMP/out" cargo run --release --offline -p cffs-bench \
-    --bin repro_diskreqs -- --files 1000 > "$BENCH_TMP/diskreqs.txt"
+BENCH_OUT_DIR="$BENCH_TMP/out" $REPRO diskreqs --files 1000 > "$BENCH_TMP/diskreqs.txt"
 for claim in 'read-phase disk requests:' 'sync writes per create:' \
     'delete throughput:' 'blocks dirtied during delete:'; do
     grep -q -- "^- $claim" "$BENCH_TMP/diskreqs.txt" \
-        || { echo "repro_diskreqs report lacks claim line: $claim"; exit 1; }
+        || { echo "repro diskreqs report lacks claim line: $claim"; exit 1; }
 done
+# Malformed input is rejected, not run at some other scale: a typo for
+# --files must exit 2 (usage error) and write nothing.
+status=0
+BENCH_OUT_DIR="$BENCH_TMP/typo" $REPRO smallfile --file 60 > /dev/null 2>&1 || status=$?
+test "$status" -eq 2 \
+    || { echo "repro smallfile --file 60 exited $status, expected 2"; exit 1; }
+test ! -e "$BENCH_TMP/typo" || { echo "rejected repro run wrote output"; exit 1; }
 cargo run --release --offline -p cffs-bench --bin bench_schema_check -- \
     "$BENCH_TMP"/out/BENCH_*.json
 
@@ -68,7 +71,7 @@ cargo run --release --offline -p cffs-bench --bin bench_schema_check -- \
 # The smallfile smoke's feed was cut alongside its flight recorder.
 cargo run --release --offline -p cffs-bench --bin bench_schema_check -- \
     --feed "$BENCH_TMP/feed_smallfile.jsonl"
-# The repro_volume smoke recorded a feed with per-volume rows; every
+# The repro volume smoke recorded a feed with per-volume rows; every
 # frame (including its volumes array) must validate too.
 cargo run --release --offline -p cffs-bench --bin bench_schema_check -- \
     --feed "$BENCH_TMP/feed_volume.jsonl"
@@ -117,8 +120,7 @@ cmp -s "$BENCH_TMP/diff_a.json" "$BENCH_TMP/diff_b.json" \
     || { echo "cffs-inspect diff is not deterministic"; exit 1; }
 # Attribution: a perturbed smallfile run (different scale, same rows)
 # against the ci run must attribute at least one moved metric.
-BENCH_OUT_DIR="$BENCH_TMP/out2" cargo run --release --offline -p cffs-bench \
-    --bin repro_smallfile -- --files 72 --dirs 3 --mode sync --seed 1997 \
+BENCH_OUT_DIR="$BENCH_TMP/out2" $REPRO smallfile --files 72 --dirs 3 --mode sync --seed 1997 \
     > /dev/null
 cargo run --release --offline --bin cffs-inspect -- diff --json \
     "$BENCH_TMP/out/BENCH_SMALLFILE_SYNC.json" \
@@ -145,8 +147,16 @@ cargo run --release --offline --bin cffs-inspect -- flamegraph --svg-ready --dem
 
 echo "== bench perf gate (p90 latency + group-fetch utilization vs baselines) =="
 # Simulated time is deterministic, so unchanged code reproduces the
-# baselines exactly; the band absorbs small intentional shifts. Refresh
-# with: BENCH_OUT_DIR=crates/bench/baselines <repro binary>
+# single-threaded baselines exactly; the band absorbs small intentional
+# shifts and the threaded runs' scheduling noise. Refresh the five
+# baselines with the smoke invocations above, telemetry flags dropped:
+#   B=crates/bench/baselines
+#   BENCH_OUT_DIR=$B target/release/repro smallfile --files 60 --dirs 3 --mode sync --seed 1997
+#   rm $B/FOLD_SMALLFILE_SYNC.txt
+#   BENCH_OUT_DIR=$B target/release/repro aging_regroup
+#   BENCH_OUT_DIR=$B target/release/repro concurrent --dirs 2 --files 12 --rounds 8
+#   BENCH_OUT_DIR=$B target/release/repro namei --branches 4 --dirs 4 --files 256 --sample 1024 --rounds 3
+#   BENCH_OUT_DIR=$B target/release/repro volume --seed 1997 --sessions 480 --dirs 64 --files 16 --ops 6 --threads 4
 cargo run --release --offline -p cffs-bench --bin bench_gate -- \
     "$BENCH_TMP/out/BENCH_SMALLFILE_SYNC.json" \
     crates/bench/baselines/BENCH_SMALLFILE_SYNC.json --tolerance-pct 25

@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the hot file-system operations, run on both C-FFS
 //! and the classic FFS baseline. These measure *implementation* speed
-//! (wall-clock of the Rust code), complementing the `repro_*` binaries
+//! (wall-clock of the Rust code), complementing the `repro` experiments,
 //! which report *simulated* time.
 
 use cffs::build;

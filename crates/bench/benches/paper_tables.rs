@@ -1,8 +1,8 @@
 //! One micro-bench per paper table/figure: each runs a scaled-down
-//! version of the corresponding `repro_*` experiment, so `cargo bench`
+//! version of the corresponding `repro` experiment, so `cargo bench`
 //! exercises every reproduction end to end and tracks its wall-clock cost.
-//! (The full-size runs and the reported numbers live in the `repro_*`
-//! binaries; see EXPERIMENTS.md.)
+//! (The full-size runs and the reported numbers come from the `repro`
+//! binary; see EXPERIMENTS.md.)
 
 use cffs_bench::experiments;
 use cffs_bench::microbench::bench;
@@ -13,21 +13,21 @@ use std::hint::black_box;
 
 fn main() {
     bench("paper/e1_table1_drives", 200, || {
-        black_box(experiments::table1::run())
+        black_box(experiments::table1::report().0)
     });
     bench("paper/e2_fig2_access_time", 200, || {
-        black_box(experiments::fig2::run(50))
+        black_box(experiments::fig2::report(50).0)
     });
     bench("paper/e3_table2_testbed", 200, || {
-        black_box(experiments::table2::run())
+        black_box(experiments::table2::report().0)
     });
 
     let sf = SmallFileParams { nfiles: 300, ndirs: 20, ..SmallFileParams::default() };
     bench("paper/e4_smallfile_sync", 500, || {
-        black_box(experiments::smallfile::run(MetadataMode::Synchronous, sf))
+        black_box(experiments::smallfile::report(MetadataMode::Synchronous, sf).0)
     });
     bench("paper/e5_smallfile_softdep", 500, || {
-        black_box(experiments::smallfile::run(MetadataMode::Delayed, sf))
+        black_box(experiments::smallfile::report(MetadataMode::Delayed, sf).0)
     });
     bench("paper/e6_filesize_point_8k", 500, || {
         black_box(experiments::filesize::point(
@@ -39,11 +39,11 @@ fn main() {
         black_box(experiments::aging::point(cffs_core::CffsConfig::cffs(), 0.5, 2000))
     });
     bench("paper/e8_diskreqs", 500, || {
-        black_box(experiments::diskreqs::run(sf))
+        black_box(experiments::diskreqs::report(sf).0)
     });
     let dev = DevTreeParams::small();
     bench("paper/e9_apps", 500, || {
-        black_box(experiments::apps::run(MetadataMode::Synchronous, dev))
+        black_box(experiments::apps::report(MetadataMode::Synchronous, dev).0)
     });
     bench("paper/e10_dirsize_point", 200, || {
         // One population point of the E10 sweep.

@@ -14,8 +14,8 @@ use cffs_disksim::models;
 use cffs_disksim::Disk;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    cffs_bench::wire_telemetry(&args);
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    cffs_bench::wire_telemetry(&cffs_bench::parse_args_or_exit("flight_fault_smoke", &[], &argv));
 
     let fs = mkfs::mkfs(Disk::new(models::tiny_test_disk()), MkfsParams::tiny(), CffsConfig::cffs())
         .expect("mkfs");

@@ -114,8 +114,3 @@ pub fn report(ops: usize) -> (String, Json) {
     ];
     (out, json)
 }
-
-/// Render the sweep.
-pub fn run(ops: usize) -> String {
-    report(ops).0
-}

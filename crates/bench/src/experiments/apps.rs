@@ -59,8 +59,3 @@ pub fn report(mode: MetadataMode, params: DevTreeParams) -> (String, Json) {
     }
     (out, json)
 }
-
-/// Render the report.
-pub fn run(mode: MetadataMode, params: DevTreeParams) -> String {
-    report(mode, params).0
-}

@@ -194,8 +194,3 @@ pub fn report(
     ];
     (out, json)
 }
-
-/// Render the experiment at full scale.
-pub fn run(seed: u64) -> String {
-    report(seed, 4, 24, 20).0
-}

@@ -86,8 +86,3 @@ pub fn report(params: SmallFileParams) -> (String, Json) {
     ));
     (out, json)
 }
-
-/// Render the accounting report.
-pub fn run(params: SmallFileParams) -> String {
-    report(params).0
-}

@@ -96,8 +96,3 @@ pub fn report(samples: usize) -> (String, Json) {
     ];
     (out, json)
 }
-
-/// Render the figure as a table (ms per request, and effective MB/s).
-pub fn run(samples: usize) -> String {
-    report(samples).0
-}

@@ -90,8 +90,3 @@ pub fn report() -> (String, Json) {
     ];
     (out, json)
 }
-
-/// Render the sweep.
-pub fn run() -> String {
-    report().0
-}

@@ -1,6 +1,8 @@
-//! One module per reproduced table/figure. Each exposes a `run` function
-//! returning the formatted report, so the `repro_*` binaries and
-//! `repro_all` share one implementation.
+//! One module per reproduced table/figure. Each exposes one entry point,
+//! `report(..) -> (String, Json)`: the formatted text report and the
+//! `BENCH_*.json` payload. The `repro` binary maps experiment names and
+//! flags onto these functions, so `repro <name>` and `repro all` share
+//! one implementation.
 //!
 //! | module | experiment | paper artifact |
 //! |---|---|---|

@@ -206,8 +206,3 @@ pub fn report(
     ];
     (out, json)
 }
-
-/// Render the experiment at full scale: the million-file tree.
-pub fn run(seed: u64) -> String {
-    report(seed, 64, 64, 256, 4096, 3).0
-}

@@ -60,8 +60,3 @@ pub fn report(mode: MetadataMode, params: PostmarkParams) -> (String, Json) {
     }
     (out, json)
 }
-
-/// Render the report.
-pub fn run(mode: MetadataMode, params: PostmarkParams) -> String {
-    report(mode, params).0
-}

@@ -139,8 +139,3 @@ pub fn report_with_folds(
     }
     (out, json, fold)
 }
-
-/// Render the report for one metadata mode.
-pub fn run(mode: MetadataMode, params: SmallFileParams) -> String {
-    report(mode, params).0
-}

@@ -21,7 +21,7 @@ fn row(label: &str, f: impl Fn(&DiskModel) -> String, drives: &[DiskModel]) -> S
 }
 
 /// Render the table.
-pub fn run() -> String {
+fn text() -> String {
     let drives = models::table1_drives();
     let mut out = String::new();
     out.push_str(&row("", |d| d.name.clone(), &drives));
@@ -103,5 +103,5 @@ pub fn report() -> (String, Json) {
         ("drives", Json::Arr(drives.iter().map(|d| d.to_json()).collect())),
         ("counters", Obs::new().snapshot("static-table", 0).to_json()),
     ];
-    (run(), json)
+    (text(), json)
 }

@@ -11,7 +11,7 @@ use cffs_obs::json::{Json, ToJson};
 use cffs_obs::{obj, Obs};
 
 /// Render the table.
-pub fn run() -> String {
+fn text() -> String {
     let d = models::seagate_st31200();
     let spts: Vec<u32> = d.geometry.zones.iter().map(|z| z.sectors_per_track).collect();
     let mut out = String::new();
@@ -61,5 +61,5 @@ pub fn report() -> (String, Json) {
         ("drive", models::seagate_st31200().to_json()),
         ("counters", Obs::new().snapshot("static-table", 0).to_json()),
     ];
-    (run(), json)
+    (text(), json)
 }

@@ -195,8 +195,3 @@ pub fn report(
     ];
     (out, json)
 }
-
-/// Render the experiment at full scale.
-pub fn run(seed: u64) -> String {
-    report(seed, 2000, 64, 16, 8, 4).0
-}

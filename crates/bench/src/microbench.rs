@@ -4,7 +4,7 @@
 //! the `benches/` targets use this instead. It reports mean ns/iter after
 //! a warmup pass — enough to spot order-of-magnitude regressions, which is
 //! all the micro-benches are for (the *simulated*-time numbers come from
-//! the `repro_*` binaries).
+//! the `repro` binary).
 
 use std::hint::black_box;
 use std::time::Instant;

@@ -44,7 +44,7 @@ pub fn rows_json(rows: &[PhaseResult]) -> Json {
 
 /// Write a reproduction result to `BENCH_<NAME>.json` in the directory
 /// named by `BENCH_OUT_DIR` (default: the current directory). Returns the
-/// path written. Every `repro_*` binary calls this with a payload that
+/// path written. Every `repro` experiment calls this with a payload that
 /// carries the simulated-time results *and* the observability counter
 /// snapshots, so runs are machine-comparable.
 pub fn write_bench(name: &str, payload: Json) -> std::io::Result<std::path::PathBuf> {

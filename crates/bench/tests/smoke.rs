@@ -1,6 +1,6 @@
 //! Smoke tests: every reproduction runs end to end at reduced scale and
 //! its report contains the structural markers the full run relies on.
-//! This keeps `repro_all` from rotting between full benchmark runs.
+//! This keeps `repro all` from rotting between full benchmark runs.
 
 use cffs_bench::experiments::*;
 use cffs_fslib::MetadataMode;
@@ -13,7 +13,7 @@ fn small() -> SmallFileParams {
 
 #[test]
 fn e1_table1() {
-    let out = table1::run();
+    let out = table1::report().0;
     for needle in ["HP C3653", "Quantum Atlas II", "8.7 ms", "Average seek"] {
         assert!(out.contains(needle), "missing {needle:?} in:\n{out}");
     }
@@ -21,14 +21,14 @@ fn e1_table1() {
 
 #[test]
 fn e2_fig2() {
-    let out = fig2::run(40);
+    let out = fig2::report(40).0;
     assert!(out.contains("64 KB"));
     assert!(out.contains("adjacency converts positioning time"));
 }
 
 #[test]
 fn e3_table2() {
-    let out = table2::run();
+    let out = table2::report().0;
     assert!(out.contains("Seagate ST31200N"));
     assert!(out.contains("C-LOOK"));
 }
@@ -36,7 +36,7 @@ fn e3_table2() {
 #[test]
 fn e4_e5_smallfile_both_modes() {
     for mode in [MetadataMode::Synchronous, MetadataMode::Delayed] {
-        let out = smallfile::run(mode, small());
+        let out = smallfile::report(mode, small()).0;
         for fsname in ["FFS", "conventional", "embedded inodes", "explicit grouping", "C-FFS"] {
             assert!(out.contains(fsname), "{mode:?}: missing {fsname}");
         }
@@ -69,14 +69,14 @@ fn e7_aging_point() {
 
 #[test]
 fn e8_diskreqs() {
-    let out = diskreqs::run(small());
+    let out = diskreqs::report(small()).0;
     assert!(out.contains("claims vs counters"));
     assert!(out.contains("sync writes per create"));
 }
 
 #[test]
 fn e9_apps() {
-    let out = apps::run(MetadataMode::Synchronous, DevTreeParams::small());
+    let out = apps::report(MetadataMode::Synchronous, DevTreeParams::small()).0;
     for phase in ["untar", "copy", "compile", "search", "clean"] {
         assert!(out.contains(phase), "missing {phase}");
     }
@@ -85,17 +85,17 @@ fn e9_apps() {
 
 #[test]
 fn e10_dirsize() {
-    let out = dirsize::run();
+    let out = dirsize::report().0;
     assert!(out.contains("static preallocation"));
     assert!(out.contains("entries"));
 }
 
 #[test]
 fn e12_postmark() {
-    let out = postmark::run(
+    let out = postmark::report(
         MetadataMode::Delayed,
         cffs_workloads::postmark::PostmarkParams::small(),
-    );
+    ).0;
     for needle in ["pm-create", "pm-transactions", "pm-delete", "C-FFS speedup"] {
         assert!(out.contains(needle), "missing {needle:?}");
     }

@@ -4,8 +4,8 @@
 //!   cffs-top --follow <feed.jsonl> [--interval-ms N] [--headless] [--frames N] [--no-color]
 //!   cffs-top --replay <feed.jsonl> [--interval-ms N] [--headless] [--frames N] [--no-color]
 //!
-//! `--follow` tails a feed file a repro binary is writing (start one
-//! with `--feed <path>`, e.g. `repro_aging_regroup --feed /tmp/feed.jsonl`)
+//! `--follow` tails a feed file a `repro` run is writing (start one
+//! with `--feed <path>`, e.g. `repro aging_regroup --feed /tmp/feed.jsonl`)
 //! and redraws the dashboard as frames land. The feed is append-only and
 //! every record is one whole line, so each poll reads only the complete
 //! lines appended since the last one; a final line without a newline is
